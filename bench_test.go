@@ -168,7 +168,7 @@ func BenchmarkFabricCellPathSharded(b *testing.B) {
 }
 
 // BenchmarkFabricCellPathSShuffle measures the per-cell cost of the
-// graph fabric's hot path on a Space Shuffle topology: greedy ring-space
+// fabric's hot path on a Space Shuffle topology: greedy ring-space
 // next-hop selection, per-cell spraying over the candidate set, and
 // possible edge-device relay hops — the pluggable-topology counterpart
 // of BenchmarkFabricCellPath. The steady-state path must stay
@@ -179,7 +179,7 @@ func BenchmarkFabricCellPathSShuffle(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	n, err := fabric.NewFabric(s, fabric.DefaultConfig(100e9, sim.Microsecond, 1), g)
+	n, err := fabric.New(s, fabric.DefaultConfig(100e9, sim.Microsecond, 1), g)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -119,5 +121,69 @@ func TestSingleNodeRing(t *testing.T) {
 	}
 	if o := r.Order("anything"); len(o) != 1 || o[0] != "http://solo:8080" {
 		t.Fatalf("order %v", o)
+	}
+}
+
+// randomRings builds count rings of 2..8 distinct random localhost
+// nodes — the membership shape of a real deployment, where node names
+// share everything but the port.
+func randomRings(t *testing.T, count int) []*Ring {
+	t.Helper()
+	rng := rand.New(rand.NewSource(1))
+	var out []*Ring
+	for len(out) < count {
+		n := 2 + rng.Intn(7)
+		var nodes []string
+		for i := 0; i < n; i++ {
+			nodes = append(nodes, fmt.Sprintf("http://127.0.0.1:%d", 1024+rng.Intn(64000)))
+		}
+		r := ringOf(t, nodes...)
+		if len(r.Nodes()) == n {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// Property: on any membership, every node's share of a uniform key
+// population stays within the bound DefaultVNodes promises (25% of an
+// equal share), measured both by arc length and by sampled keys.
+func TestRingSharesBoundedOnRandomMembership(t *testing.T) {
+	for _, r := range randomRings(t, 200) {
+		n := float64(len(r.Nodes()))
+		for node, s := range r.Shares() {
+			if dev := math.Abs(s*n - 1); dev > 0.25 {
+				t.Fatalf("ring %v: %s owns %.3f, %.0f%% off an equal share", r.Nodes(), node, s, 100*dev)
+			}
+		}
+	}
+	r := randomRings(t, 1)[0]
+	owned := map[string]int{}
+	const keys = 20000
+	for i := 0; i < keys; i++ {
+		owned[r.Owner(fmt.Sprintf("%064x", i))]++
+	}
+	for node, want := range r.Shares() {
+		if got := float64(owned[node]) / keys; math.Abs(got-want) > 0.03 {
+			t.Fatalf("%s owns %.3f of sampled keys, arcs say %.3f", node, got, want)
+		}
+	}
+}
+
+// Property: on any membership, every ordered pair of nodes occurs as
+// (owner, failover successor) for some key, so a failover test can
+// always find a key with the placement it wants.
+func TestRingEveryOwnerSuccessorPairReachable(t *testing.T) {
+	for _, r := range randomRings(t, 200) {
+		n := len(r.Nodes())
+		pairs := map[[2]int]bool{}
+		for i, p := range r.points {
+			if next := r.points[(i+1)%len(r.points)].node; next != p.node {
+				pairs[[2]int{p.node, next}] = true
+			}
+		}
+		if len(pairs) != n*(n-1) {
+			t.Fatalf("ring %v: only %d of %d ordered (owner, successor) pairs occur", r.Nodes(), len(pairs), n*(n-1))
+		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"net"
 	"time"
 
-	"stardust/internal/fabric"
 	"stardust/internal/sim"
 	"stardust/internal/telemetry"
 )
@@ -623,10 +622,7 @@ func (c *coord) finish(windows int) (Outcome, error) {
 	}
 	numFA := c.model.Net.NumFA()
 	ndirs := 2 * c.model.Net.NumLinks()
-	nspines := 0 // only the Clos fabric has owner-reported spine tables
-	if cn, ok := c.model.Net.(*fabric.Net); ok {
-		nspines = cn.Topo.NumFE2
-	}
+	nspines := c.model.Net.Spines() // only the Clos fabric has owner-reported spine tables
 	nshards := c.cfg.Spec.Shards
 	sinkCells := make([]uint64, numFA)
 	sinkBytes := make([]uint64, numFA)
@@ -734,11 +730,7 @@ func (c *coord) finish(windows int) (Outcome, error) {
 	// reachability state is control-replicated (tables reinstall via
 	// barrier controls every replica runs), so the coordinator reports all
 	// of it.
-	if cn, ok := c.model.Net.(*fabric.Net); ok {
-		out.Unreachable += cn.DeadFAs()
-	} else {
-		out.Unreachable += c.model.Net.UnreachablePairs()
-	}
+	out.Unreachable += c.model.Net.ReplicatedUnreachable()
 	out.Digest = foldDigest(sinkCells, sinkBytes, dirs)
 	out.ShardEvents = shardEv
 	c.stats.runDone()

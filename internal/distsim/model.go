@@ -101,7 +101,7 @@ type Model struct {
 	Spec    Spec
 	Graph   topo.Graph
 	Eng     *parsim.Engine
-	Net     fabric.Fabric
+	Net     *fabric.Net
 	Sinks   []*CellSink
 	Horizon sim.Time
 	Drain   sim.Time
@@ -113,6 +113,9 @@ type Model struct {
 // determinism contract — change it and remote digests diverge from local
 // ones.
 func NewModel(spec Spec) (*Model, error) {
+	if spec.CellBytes < 1 || !(spec.Load > 0) || spec.Dur < 0 {
+		return nil, fmt.Errorf("distsim: need a positive cell size, a positive load and a non-negative duration (cell %d, load %g, dur %d)", spec.CellBytes, spec.Load, spec.Dur)
+	}
 	graph, err := topo.ByName(spec.Topo, spec.K)
 	if err != nil {
 		return nil, err
@@ -124,7 +127,7 @@ func NewModel(spec Spec) (*Model, error) {
 	look := sim.Microsecond
 	eng := parsim.New(parsim.Config{Shards: shards, Lookahead: look})
 	cfg := fabric.DefaultConfig(10e9, look, spec.Seed)
-	n, err := fabric.NewShardedFabric(eng, cfg, graph)
+	n, err := fabric.NewSharded(eng, cfg, graph, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -316,8 +319,8 @@ func (m *Model) RunLocal() (Outcome, error) {
 }
 
 // OwnersFor partitions spec.Shards shards over npeers peers in contiguous
-// blocks — the same deterministic rule fabric.AssignShards uses for
-// devices over shards, so two runs with the same (spec, npeers) always
+// blocks — the same deterministic rule fabric.NewSharded uses for each
+// tier's devices over shards, so two runs with the same (spec, npeers) always
 // cut identically.
 func OwnersFor(shards, npeers int) []int {
 	owners := make([]int, shards)

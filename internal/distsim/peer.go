@@ -11,7 +11,6 @@ import (
 	"os"
 	"time"
 
-	"stardust/internal/fabric"
 	"stardust/internal/parsim"
 )
 
@@ -276,11 +275,9 @@ func buildReport(m *Model, owned []bool) peerReport {
 	// shards: only the Clos fabric has them. Graph fabrics reconverge via
 	// barrier controls, so their reachability is control-replicated and
 	// the coordinator's own replica reports it (see coord.finish).
-	if cn, ok := m.Net.(*fabric.Net); ok {
-		for i := 0; i < cn.Topo.NumFE2; i++ {
-			if owned[cn.ShardOfFE2(i)] {
-				rep.Spines = append(rep.Spines, spineReport{Spine: i, Unreachable: cn.SpineUnreachable(i)})
-			}
+	for i := 0; i < m.Net.Spines(); i++ {
+		if owned[m.Net.ShardOfSpine(i)] {
+			rep.Spines = append(rep.Spines, spineReport{Spine: i, Unreachable: m.Net.SpineUnreachable(i)})
 		}
 	}
 	return rep

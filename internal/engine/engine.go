@@ -16,6 +16,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -227,6 +228,43 @@ type Scenario struct {
 	Variants func(p Params) []Params
 	// Run executes one instance.
 	Run func(c Context) (Result, error)
+}
+
+// checkParams rejects values a scenario could only misread: a parameter
+// whose default is numeric must be a finite, non-negative number (or a
+// comma list of them), and one whose default is true/false must be a
+// boolean. Empty values and keys the scenario does not declare pass
+// through (they mean "default").
+func (s *Scenario) checkParams(p Params) error {
+	keys := make([]string, 0, len(p))
+	for k := range p {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		def, ok := s.Defaults[k]
+		v := p[k]
+		switch {
+		case !ok || v == "":
+		case def == "true" || def == "false":
+			if _, err := strconv.ParseBool(v); err != nil {
+				return fmt.Errorf("%s: parameter %s=%q is not true or false", s.Name, k, v)
+			}
+		case isNumber(strings.Split(def, ",")[0]):
+			for _, e := range strings.Split(v, ",") {
+				if !isNumber(strings.TrimSpace(e)) {
+					return fmt.Errorf("%s: parameter %s=%q is not a non-negative number", s.Name, k, v)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// isNumber reports whether v is a finite, non-negative number.
+func isNumber(v string) bool {
+	f, err := strconv.ParseFloat(v, 64)
+	return err == nil && f >= 0 && !math.IsInf(f, 0)
 }
 
 // ParamDocs returns the scenario's full parameter table sorted by key:

@@ -298,6 +298,25 @@ func TestParamDocs(t *testing.T) {
 	}
 }
 
+// checkParams refuses, before any instance runs, values a scenario could
+// only misread; free-form strings, empty values and undeclared keys pass.
+func TestCheckParams(t *testing.T) {
+	sc := Scenario{Name: "x", Defaults: Params{"n": "4", "f": "0.5", "list": "1,2", "on": "false", "name": "a"}}
+	for _, p := range []Params{{"n": "-1"}, {"n": "x"}, {"f": "NaN"}, {"f": "Inf"}, {"list": "1,-2"}, {"on": "maybe"}} {
+		if err := sc.checkParams(p); err == nil {
+			t.Errorf("%v accepted", p)
+		}
+	}
+	for _, p := range []Params{{"n": "0"}, {"n": ""}, {"f": "2.5"}, {"list": "3, 4"}, {"on": "1"}, {"name": "-x"}, {"undeclared": "-1"}} {
+		if err := sc.checkParams(p); err != nil {
+			t.Errorf("%v refused: %v", p, err)
+		}
+	}
+	if res, err := Run(Options{}, []Job{{Scenario: "test/echo", Params: Params{"x": "-1"}}}); err == nil || res != nil {
+		t.Fatalf("negative x ran: %v, %v", res, err)
+	}
+}
+
 func TestRegisterRejectsDocWithoutDefault(t *testing.T) {
 	defer func() {
 		if recover() == nil {

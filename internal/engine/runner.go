@@ -85,6 +85,9 @@ func expand(opts Options, jobs []Job) ([]instance, error) {
 		if j.Params != nil {
 			base = base.Merge(j.Params)
 		}
+		if err := sc.checkParams(base); err != nil {
+			return nil, fmt.Errorf("engine: %w", err)
+		}
 		seed := j.Seed
 		if seed == 0 {
 			seed = opts.Seed

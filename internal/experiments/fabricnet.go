@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"stardust/internal/sim"
+	"stardust/internal/topo"
 	"stardust/internal/workload"
 )
 
@@ -282,9 +283,12 @@ func RunMatrix(cfg HtsimConfig, proto Protocol, flows []workload.Flow, hot map[i
 
 // HotspotRun builds the hotspot matrix for the testbed size and runs it.
 func HotspotRun(cfg HtsimConfig, proto Protocol, hotspots int, hotFraction float64) (*MatrixResult, []int, error) {
-	hosts := cfg.K * cfg.K * cfg.K / 4
+	ft, err := topo.NewFatTree(cfg.K)
+	if err != nil {
+		return nil, nil, err
+	}
 	rng := newMatrixRNG(cfg.Seed)
-	flows, hotList := workload.Hotspot(rng, hosts, hotspots, hotFraction)
+	flows, hotList := workload.Hotspot(rng, ft.Hosts, hotspots, hotFraction)
 	hot := make(map[int]bool, len(hotList))
 	for _, h := range hotList {
 		hot[h] = true

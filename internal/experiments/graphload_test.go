@@ -6,14 +6,14 @@ import (
 	"stardust/internal/sim"
 )
 
-// TestGraphSprayBeatsECMP is the §5.3 claim carried to non-Clos graphs:
-// per-cell spraying spreads each device's bytes over its uplinks at
-// least as evenly as hash-pinned per-flow ECMP, and loses no more
-// throughput doing it. Run on both new families with identical traffic.
+// TestGraphSprayBeatsECMP is the §5.3 claim: per-cell spraying spreads
+// each device's bytes over its uplinks at least as evenly as hash-pinned
+// per-flow ECMP, and loses no more throughput doing it. Run on the
+// paper's Clos and on both non-Clos families with identical traffic.
 func TestGraphSprayBeatsECMP(t *testing.T) {
 	const k, load, seed = 8, 0.6, 3
 	warm, dur := 100*sim.Microsecond, 400*sim.Microsecond
-	for _, topoName := range []string{"sshuffle", "star"} {
+	for _, topoName := range []string{"clos", "sshuffle", "star"} {
 		t.Run(topoName, func(t *testing.T) {
 			spray, err := GraphLinkLoad(topoName, k, "spray", load, warm, dur, seed)
 			if err != nil {
@@ -40,15 +40,6 @@ func TestGraphSprayBeatsECMP(t *testing.T) {
 			t.Logf("%s: spray cov=%.2f%% delivered=%d | ecmp cov=%.2f%% delivered=%d",
 				spray.Topo, spray.CoVPct, spray.Delivered, ecmp.CoVPct, ecmp.Delivered)
 		})
-	}
-}
-
-// TestGraphECMPRejectsClos: the Clos fabric runs the paper's reach
-// protocol, not the graph router; asking it for ECMP must error (the
-// fat-tree ECMP contender lives in the linkload experiment).
-func TestGraphECMPRejectsClos(t *testing.T) {
-	if _, err := GraphLinkLoad("clos", 4, "ecmp", 0.5, sim.Microsecond, sim.Microsecond, 1); err == nil {
-		t.Fatal("ecmp mode on the clos fabric should error")
 	}
 }
 

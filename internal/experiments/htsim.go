@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"stardust/internal/fabric"
@@ -95,6 +96,9 @@ type testbed struct {
 }
 
 func newTestbed(cfg HtsimConfig, proto Protocol) (*testbed, error) {
+	if !slices.Contains(Protocols, proto) {
+		return nil, fmt.Errorf("experiments: unknown protocol %q (want %v)", proto, Protocols)
+	}
 	tb := &testbed{cfg: cfg, s: sim.New(), rng: rand.New(rand.NewSource(cfg.Seed))}
 	switch proto {
 	case ProtoStardust:
@@ -285,7 +289,7 @@ func (tb *testbed) launchFlow(proto Protocol, src, dst int, flowBytes int64, at 
 			fct:         func() (sim.Time, bool) { return m.FCT(), m.Done },
 		}
 	}
-	panic("experiments: unknown protocol " + string(proto))
+	panic("experiments: unknown protocol " + string(proto)) // newTestbed rejects it first
 }
 
 // PermutationResult is one Fig 10(a) series: per-flow goodput sorted
@@ -369,6 +373,9 @@ type FCTResult struct {
 // long-running flows to random destinations; a measured pair exchanges
 // Web-workload flows back to back and we record their completion times.
 func FCT(cfg HtsimConfig, proto Protocol, measuredFlows int) (*FCTResult, error) {
+	if cfg.Duration <= 0 {
+		return nil, fmt.Errorf("experiments: fct steps the run by the measurement window, which must be positive")
+	}
 	tb, err := newTestbed(cfg, proto)
 	if err != nil {
 		return nil, err

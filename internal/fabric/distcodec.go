@@ -12,11 +12,15 @@
 //     lane — the lane IS the directed link index, so the receiver rebinds
 //     the decoded cell to its own replica's link route;
 //   - a reachability re-advertisement (applyReach) on an FE1's reach
-//     lane — spine index, down port and the reach.Message batch.
+//     lane — spine index, down port and the reach.Message batch (Clos
+//     only: the graph control plane runs in barrier controls every
+//     replica executes, so nothing of it crosses a cut).
 //
 // A transport overlay (packets with Flow state, closure actions) cannot
 // be rebound to a remote replica; EncodeMail rejects it with a
-// deterministic error rather than guessing.
+// deterministic error rather than guessing. DecodeMail treats its input
+// as untrusted peer bytes: anything it cannot bind to a valid action on
+// this replica is an error, never a panic later in the run.
 package fabric
 
 import (
@@ -27,7 +31,6 @@ import (
 	"stardust/internal/parsim"
 	"stardust/internal/reach"
 	"stardust/internal/sim"
-	"stardust/internal/topo"
 )
 
 // Wire kinds of a cross-shard mail payload.
@@ -57,13 +60,32 @@ func (n *Net) EncodeMail(m parsim.Mail) (kind byte, payload []byte, err error) {
 		if a.Flow != nil {
 			return 0, nil, fmt.Errorf("fabric: cell on lane %d carries transport flow state; the transport overlay is not distributable", m.Lane)
 		}
-		if int(m.Lane) >= 2*len(n.Topo.Links) {
+		if int(m.Lane) >= 2*len(n.wiring) {
 			return 0, nil, fmt.Errorf("fabric: packet on non-link lane %d is not distributable", m.Lane)
 		}
-		return MailCell, encodeCell(a), nil
+		var flags byte
+		if a.Ack {
+			flags |= cellAck
+		}
+		if a.CE {
+			flags |= cellCE
+		}
+		if a.Echo {
+			flags |= cellEcho
+		}
+		if a.Down {
+			flags |= cellDown
+		}
+		buf := make([]byte, 0, 16)
+		buf = append(buf, flags)
+		buf = binary.AppendUvarint(buf, uint64(a.Size))
+		buf = binary.AppendUvarint(buf, uint64(a.Dst))
+		buf = binary.AppendVarint(buf, a.Seq)
+		a.Release()
+		return MailCell, buf, nil
 	case applyReach:
 		buf := make([]byte, 0, 8+20*len(a.msgs))
-		buf = binary.AppendUvarint(buf, uint64(a.sp.id.Index))
+		buf = binary.AppendUvarint(buf, uint64(a.spine))
 		buf = binary.AppendUvarint(buf, uint64(a.port))
 		buf = binary.AppendUvarint(buf, uint64(len(a.msgs)))
 		for _, msg := range a.msgs {
@@ -84,61 +106,9 @@ func (n *Net) EncodeMail(m parsim.Mail) (kind byte, payload []byte, err error) {
 	}
 }
 
-// encodeCell serializes one in-flight cell for the wire and releases it
-// back to the packet pool — shared by the Clos and graph fabric codecs.
-func encodeCell(a *netsim.Packet) []byte {
-	var flags byte
-	if a.Ack {
-		flags |= cellAck
-	}
-	if a.CE {
-		flags |= cellCE
-	}
-	if a.Echo {
-		flags |= cellEcho
-	}
-	if a.Down {
-		flags |= cellDown
-	}
-	buf := make([]byte, 0, 16)
-	buf = append(buf, flags)
-	buf = binary.AppendUvarint(buf, uint64(a.Size))
-	buf = binary.AppendUvarint(buf, uint64(a.Dst))
-	buf = binary.AppendVarint(buf, a.Seq)
-	a.Release()
-	return buf
-}
-
-// decodeCell rebuilds a pooled cell from its wire form; the caller
-// rebinds it to the receiving replica's link route.
-func decodeCell(payload []byte) (*netsim.Packet, error) {
-	if len(payload) < 1 {
-		return nil, fmt.Errorf("fabric: truncated cell payload")
-	}
-	flags := payload[0]
-	rest := payload[1:]
-	size, k1 := binary.Uvarint(rest)
-	if k1 <= 0 {
-		return nil, fmt.Errorf("fabric: truncated cell size")
-	}
-	dst, k2 := binary.Uvarint(rest[k1:])
-	if k2 <= 0 {
-		return nil, fmt.Errorf("fabric: truncated cell dst")
-	}
-	seq, k3 := binary.Varint(rest[k1+k2:])
-	if k3 <= 0 {
-		return nil, fmt.Errorf("fabric: truncated cell seq")
-	}
-	p := netsim.NewPacket()
-	p.Size = int(size)
-	p.Dst = int32(dst)
-	p.Seq = seq
-	p.Ack = flags&cellAck != 0
-	p.CE = flags&cellCE != 0
-	p.Echo = flags&cellEcho != 0
-	p.Down = flags&cellDown != 0
-	return p, nil
-}
+// maxCellBytes bounds a decoded cell's size: far above any cell the
+// models send, far below sizes whose serialization time would overflow.
+const maxCellBytes = 1 << 24
 
 // DecodeMail rebinds one wire payload to this replica of the model,
 // returning the action and argument to inject on the destination shard at
@@ -146,32 +116,64 @@ func decodeCell(payload []byte) (*netsim.Packet, error) {
 func (n *Net) DecodeMail(kind byte, lane int32, payload []byte) (sim.Action, uint64, error) {
 	switch kind {
 	case MailCell:
-		if int(lane) >= 2*len(n.Topo.Links) || lane < 0 {
+		if lane < 0 || int(lane) >= 2*len(n.wiring) {
 			return nil, 0, fmt.Errorf("fabric: cell on bad link lane %d", lane)
 		}
-		p, err := decodeCell(payload)
-		if err != nil {
-			return nil, 0, err
+		if len(payload) < 1 {
+			return nil, 0, fmt.Errorf("fabric: truncated cell payload")
 		}
+		flags, rest := payload[0], payload[1:]
+		size, k1 := binary.Uvarint(rest)
+		if k1 <= 0 || size > maxCellBytes {
+			return nil, 0, fmt.Errorf("fabric: bad cell size")
+		}
+		dst, k2 := binary.Uvarint(rest[k1:])
+		if k2 <= 0 || dst >= uint64(len(n.edges)) {
+			return nil, 0, fmt.Errorf("fabric: bad cell destination")
+		}
+		seq, k3 := binary.Varint(rest[k1+k2:])
+		if k3 <= 0 {
+			return nil, 0, fmt.Errorf("fabric: truncated cell seq")
+		}
+		p := netsim.NewPacket()
+		p.Size = int(size)
+		p.Dst = int32(dst)
+		p.Seq = seq
+		p.Ack = flags&cellAck != 0
+		p.CE = flags&cellCE != 0
+		p.Echo = flags&cellEcho != 0
+		p.Down = flags&cellDown != 0
 		// A cell crossing a shard cut was scheduled by the link's LanePipe
 		// with the queue and pipe hops already behind it: rebind it to the
 		// tail of this replica's route so the next hop is the link itself.
 		p.SetRoute(n.links[lane].route[2:])
 		return p, 0, nil
 	case MailReach:
+		k, ok := n.ctl.(*closControl)
+		if !ok {
+			return nil, 0, fmt.Errorf("fabric: reach mail for a %s fabric, which has no reach protocol", n.Graph.Spec())
+		}
+		if first := int32(2 * len(n.wiring)); lane < first || lane >= first+int32(k.lanes()) {
+			return nil, 0, fmt.Errorf("fabric: reach mail on bad lane %d", lane)
+		}
 		spine, k1 := binary.Uvarint(payload)
-		if k1 <= 0 || int(spine) >= len(n.fe2) {
+		if k1 <= 0 || spine >= uint64(len(k.spineN)) {
 			return nil, 0, fmt.Errorf("fabric: bad reach spine")
 		}
+		tbl := k.tbl[k.spineN[spine]]
 		port, k2 := binary.Uvarint(payload[k1:])
-		if k2 <= 0 {
-			return nil, 0, fmt.Errorf("fabric: truncated reach port")
+		if k2 <= 0 || port >= uint64(tbl.NumLinks()) {
+			return nil, 0, fmt.Errorf("fabric: bad reach port")
 		}
 		cnt, k3 := binary.Uvarint(payload[k1+k2:])
 		if k3 <= 0 {
 			return nil, 0, fmt.Errorf("fabric: truncated reach count")
 		}
 		rest := payload[k1+k2+k3:]
+		// Every message takes at least origin + chunk + flag + bitmap bytes.
+		if cnt > uint64(len(rest)/(3+8*len(reach.Message{}.Bits))) {
+			return nil, 0, fmt.Errorf("fabric: bad reach count")
+		}
 		msgs := make([]reach.Message, cnt)
 		for i := range msgs {
 			origin, a := binary.Uvarint(rest)
@@ -179,8 +181,8 @@ func (n *Net) DecodeMail(kind byte, lane int32, payload []byte) (sim.Action, uin
 				return nil, 0, fmt.Errorf("fabric: truncated reach origin")
 			}
 			chunk, b := binary.Uvarint(rest[a:])
-			if b <= 0 {
-				return nil, 0, fmt.Errorf("fabric: truncated reach chunk")
+			if b <= 0 || chunk >= uint64(reach.MessagesPerTable(tbl.NumFA())) {
+				return nil, 0, fmt.Errorf("fabric: bad reach chunk")
 			}
 			rest = rest[a+b:]
 			if len(rest) < 1+8*len(msgs[i].Bits) {
@@ -195,24 +197,9 @@ func (n *Net) DecodeMail(kind byte, lane int32, payload []byte) (sim.Action, uin
 				rest = rest[8:]
 			}
 		}
-		return applyReach{sp: n.fe2[spine], port: int(port), msgs: msgs}, 0, nil
+		return applyReach{tbl: tbl, spine: int(spine), port: int(port), msgs: msgs}, 0, nil
 	default:
 		return nil, 0, fmt.Errorf("fabric: unknown mail kind %d", kind)
-	}
-}
-
-// ShardOfNode returns the shard owning a device (0 in solo mode).
-func (n *Net) ShardOfNode(id topo.NodeID) int {
-	if n.eng == nil {
-		return 0
-	}
-	switch id.Kind {
-	case topo.KindFA:
-		return n.assign.FA[id.Index]
-	case topo.KindFE1:
-		return n.assign.FE1[id.Index]
-	default:
-		return n.assign.FE2[id.Index]
 	}
 }
 
@@ -220,82 +207,24 @@ func (n *Net) ShardOfNode(id topo.NodeID) int {
 // topology link i, 2i+1 = B->A): the sending device's shard, where the
 // direction's serialization queue — and therefore its counters — lives.
 func (n *Net) OwnerOfLinkDir(d int) int {
-	lk := n.Topo.Links[d/2]
+	lk := n.wiring[d/2]
 	if d%2 == 0 {
-		return n.ShardOfNode(lk.A)
+		return n.nodeShard[lk.A]
 	}
-	return n.ShardOfNode(lk.B)
-}
-
-// ShardOfFE2 returns the shard owning spine i — the shard whose replica
-// holds the authoritative copy of that spine's reachability table.
-func (n *Net) ShardOfFE2(i int) int {
-	if n.eng == nil {
-		return 0
-	}
-	return n.assign.FE2[i]
-}
-
-// SpineUnreachable counts the destination FAs spine i currently has no
-// live down path to — the per-spine half of UnreachablePairs, reported by
-// the spine's owner in a distributed run. Barrier context only.
-func (n *Net) SpineUnreachable(i int) int {
-	bad := 0
-	sp := n.fe2[i]
-	for fa := 0; fa < n.Topo.NumFA; fa++ {
-		if !sp.tbl.Reachable(fa) {
-			bad++
-		}
-	}
-	return bad
-}
-
-// DeadFAs counts the FAs with no live uplink at all — the other half of
-// UnreachablePairs. FA liveness is administrative state mutated only by
-// barrier controls, which every distributed replica runs identically, so
-// any replica can report it.
-func (n *Net) DeadFAs() int {
-	bad := 0
-	for _, d := range n.fas {
-		if d.live.Count() == 0 {
-			bad++
-		}
-	}
-	return bad
-}
-
-// ShardTraffic is one shard's slice of the fabric's traffic accounting —
-// written only by that shard's event loop, so in a distributed run only
-// the shard's owner holds real values and reports them.
-type ShardTraffic struct {
-	Injected     uint64
-	Delivered    uint64
-	DeadDrops    uint64
-	NoRouteDrops uint64
-}
-
-// TrafficOfShard snapshots shard s's counters. Barrier context only.
-func (n *Net) TrafficOfShard(s int) ShardTraffic {
-	sh := n.shards[s]
-	return ShardTraffic{
-		Injected:     sh.injected,
-		Delivered:    sh.delivered,
-		DeadDrops:    sh.deadDrops,
-		NoRouteDrops: sh.noRouteDrops,
-	}
+	return n.nodeShard[lk.B]
 }
 
 // DirCounters snapshots directed link d's forwarding counters (the
 // digest-relevant subset of ReadLinkCounters). Barrier context only.
 func (n *Net) DirCounters(d int) (fwdBytes, fwdCells, drops uint64) {
-	l := n.links[d]
-	return l.q.FwdBytes, l.q.Forwarded, l.q.Drops
+	q := n.links[d].q
+	return q.FwdBytes, q.Forwarded, q.Drops
 }
 
 // DirTelemetry snapshots directed link d's telemetry tuple: DirCounters
 // plus instantaneous queue occupancy. This is what a distributed peer
 // ships per owned dir at a scrape boundary. Barrier context only.
 func (n *Net) DirTelemetry(d int) (fwdBytes, fwdCells, drops uint64, queueBytes int) {
-	l := n.links[d]
-	return l.q.FwdBytes, l.q.Forwarded, l.q.Drops, l.q.Bytes()
+	q := n.links[d].q
+	return q.FwdBytes, q.Forwarded, q.Drops, q.Bytes()
 }

@@ -1,33 +1,40 @@
-// Package fabric is the topology-faithful cell fabric: every Fabric
-// Adapter and Fabric Element of a topo.Clos instance is its own device,
-// every serial link its own serialization queue + propagation pipe, and
-// cells are sprayed per-link at every tier with the §5.3 round-robin
-// permutation arbiter (reach.Spreader). It replaces the abstract
-// FabricHops-deep pipe of netsim's fluid Stardust model for experiments
-// that need per-link load balance, tier-by-tier buffering or link
-// failures: it implements netsim.CellFabric, so the Stardust transport
-// substrate plugs in unchanged.
+// Package fabric is the topology-faithful cell fabric: every device of a
+// topo.Graph is its own device, every serial link its own serialization
+// queue + propagation pipe, and cells are sprayed per link at every hop
+// with the §5.3 round-robin permutation arbiter (reach.Spreader). It
+// replaces the abstract FabricHops-deep pipe of netsim's fluid Stardust
+// model for experiments that need per-link load balance, tier-by-tier
+// buffering or link failures: it implements netsim.ShardedCellFabric, so
+// the Stardust transport substrate plugs in unchanged.
 //
-// Routing is the up/down scheme of §3.1: the source FA sprays each cell
-// over its live uplinks; a first-tier FE delivers directly when it has a
-// live down link to the destination FA and sprays upward otherwise; a
-// spine FE sprays over the down links that reach the destination. The
-// per-device forwarding state is the hardware reachability table of
-// §5.8 (reach.Table): link failures are detected locally at once
-// (keepalive, §5.9) and the lost reachability propagates to the spine
-// after Cfg.ReachDelay via reach messages, exactly the protocol the paper
-// sizes in Appendix E.
+// There is one data plane for every graph. A device holds, per
+// destination edge device, a descend bitmap of the ports that make
+// progress toward it, plus one climb bitmap of detour ports. It sprays
+// each cell over its descend candidates; with none it climbs, but only
+// while the cell has never descended — the no-valley rule of §3.1.
+// A per-flow ECMP mode replaces the spray with a deterministic hash pick
+// over the same bitmaps, so spray-vs-ECMP comparisons run on identical
+// topologies, routes and traffic.
+//
+// Only how the bitmaps are filled depends on the topology, and the
+// graph's type selects it (control.go). A *topo.Clos runs the paper's
+// reachability protocol (§5.8, §5.9, Appendix E): failures are detected
+// locally at once and the lost reachability reaches the spines after
+// Cfg.ReachDelay as reach messages. Every other graph reinstalls
+// Graph.Routes over the live links after the same delay.
 //
 // The per-cell hot path allocates nothing: cells are pooled
 // netsim.Packets, every directed link's route is prebuilt once, spreader
 // reshuffles are in place, and forwarding state lives in dense bitmaps.
 //
-// A fabric runs in one of two modes. New builds the classic single-event-
-// loop fabric on one sim.Simulator. NewSharded (sharded.go) partitions the
-// devices across the shards of a parsim.Engine — every device's events run
-// on its owning shard, cells cross shard cuts through conservative-
-// lookahead mailboxes, and every link delivery is ordered by a per-link
-// event lane so the results are byte-identical for any shard count.
+// A fabric runs in one of two modes. New builds it on one sim.Simulator.
+// NewSharded partitions the devices across the shards of a parsim.Engine:
+// every device's events run on its owning shard, cells cross shard cuts
+// through conservative-lookahead mailboxes, and every link delivery is
+// ordered by a per-link event lane, so the results are byte-identical for
+// any shard count. Administrative link state (FailLink/RestoreLink)
+// mutates devices on several shards and so runs in barrier context only,
+// quantized to window boundaries — a function of the lookahead alone.
 package fabric
 
 import (
@@ -50,7 +57,8 @@ type Config struct {
 	// permutation before reshuffling (§5.3's anti-synchronization).
 	ReshuffleRounds int
 	// ReachDelay is the latency for a reachability withdrawal to reach the
-	// spine tier after a local failure (Appendix E's propagation step).
+	// spine tier after a local failure (Appendix E's propagation step), and
+	// the reconvergence lag of the recomputed graph routes.
 	ReachDelay sim.Time
 	Seed       int64
 }
@@ -75,6 +83,18 @@ func DefaultConfig(rate netsim.Bps, delay sim.Time, seed int64) Config {
 // the same flags.
 func ClosFor(k int) (*topo.Clos, error) { return topo.ClosForK(k) }
 
+// RouteMode selects how a device picks among its candidate ports.
+type RouteMode int
+
+const (
+	// ModeSpray sprays per cell with the §5.3 round-robin permutation
+	// arbiter — Stardust's load balancing.
+	ModeSpray RouteMode = iota
+	// ModeECMP picks one candidate per flow by deterministic hash — the
+	// classic per-flow ECMP baseline the paper argues against.
+	ModeECMP
+)
+
 // shardState is the per-shard slice of a Net: the shard's event heap plus
 // the counters its devices increment. A solo fabric has exactly one; a
 // sharded fabric has one per parsim shard, so the hot path never writes a
@@ -91,16 +111,7 @@ type shardState struct {
 	deadDrops    uint64
 	noRouteDrops uint64
 
-	reach []reachEvent // sharded mode: buffered spine-landing notifications
-}
-
-// reachEvent is one buffered OnReachUpdate notification (sharded mode):
-// the update lands on the spine tier at `at`; the engine's barrier drains
-// the buffers in deterministic (at, fe1) order.
-type reachEvent struct {
-	at        sim.Time
-	fe1       int
-	reachable int
+	reach []reachEvent // sharded Clos: buffered spine-landing notifications
 }
 
 // link is one direction of a physical serial link: a serialization queue,
@@ -112,7 +123,7 @@ type link struct {
 	net   *Net
 	sh    *shardState // receiving device's shard
 	q     *netsim.Queue
-	to    netsim.Handler // receiving device
+	to    *node
 	route []netsim.Handler
 	up    bool
 }
@@ -132,26 +143,15 @@ func (l *link) send(c *netsim.Packet) {
 	c.SendOn()
 }
 
-// faDev is a Fabric Adapter's fabric-facing side: the uplink sprayer.
-type faDev struct {
-	net  *Net
-	sh   *shardState
-	id   int
-	up   []*link
-	live reach.Bitmap // uplinks passing keepalive
-	spr  *reach.Spreader
-}
-
-// faEgress terminates cells at their destination Fabric Adapter.
-type faEgress struct {
+// egress terminates cells at their destination edge device.
+type egress struct {
 	net *Net
 	sh  *shardState
-	id  int
-	to  netsim.Handler // optional per-FA endpoint (SetEgress)
+	to  netsim.Handler // optional per-edge endpoint (SetEgress)
 }
 
 // Receive implements netsim.Handler.
-func (e *faEgress) Receive(c *netsim.Packet) {
+func (e *egress) Receive(c *netsim.Packet) {
 	e.sh.delivered++
 	if e.to != nil {
 		e.to.Receive(c)
@@ -164,43 +164,47 @@ func (e *faEgress) Receive(c *netsim.Packet) {
 	c.Release()
 }
 
-// spinePort locates one FE1 uplink's far end: spine index and the spine's
-// local down-port. Prebuilt so a reachability re-advertisement does not
-// rescan the wiring.
-type spinePort struct {
-	spine int
-	port  int
+// node is one device of the graph. The control plane owns the contents
+// of descend and climb; the data plane only reads them.
+type node struct {
+	net  *Net
+	sh   *shardState
+	id   int
+	edge int32 // edge index, -1 for pure transit devices
+
+	out []*link // per port
+
+	descend []reach.Bitmap  // per dst edge: candidate ports (nil: never descends)
+	climb   reach.Bitmap    // detour ports, bit i = port climbLo+i
+	climbLo int             // first climb port
+	sprD    *reach.Spreader // over the descend ports; nil when there are none
+	sprUp   *reach.Spreader // over the climb ports; nil when there are none
 }
 
-// feDev is a Fabric Element (either tier). FE1s have both down links
-// (to FAs) and uplinks (to FE2s); FE2s have down links only (to FE1s).
-type feDev struct {
-	net      *Net
-	sh       *shardState
-	id       topo.NodeID
-	down     []*link
-	ups      []*link      // nil on FE2s and in single-tier fabrics
-	downPeer []int        // peer device index per down port
-	spines   []spinePort  // FE1 only: far end of each uplink
-	tbl      *reach.Table // destination FA -> down links that reach it
-	liveUp   reach.Bitmap // FE1 only: uplinks passing keepalive
-	sprDown  *reach.Spreader
-	sprUp    *reach.Spreader
-}
-
-// Receive implements netsim.Handler: forward one cell. Down beats up
-// (shortest path); a cell that already descended must not climb again
-// (no valleys), so during reachability convergence a mis-steered cell is
-// discarded rather than looped — the paper's packet-discard window.
-func (d *feDev) Receive(c *netsim.Packet) {
-	if l := d.sprDown.Next(d.tbl.Links(int(c.Dst))); l >= 0 {
-		c.Down = true
-		d.down[l].send(c)
+// Receive implements netsim.Handler: deliver or forward one cell.
+func (d *node) Receive(c *netsim.Packet) {
+	if d.edge == c.Dst {
+		d.net.egress[d.edge].Receive(c)
 		return
 	}
-	if d.ups != nil && !c.Down {
-		if l := d.sprUp.Next(d.liveUp); l >= 0 {
-			d.ups[l].send(c)
+	d.forward(c)
+}
+
+// forward applies the up/down rule. Down beats up (shortest path); a cell
+// that already descended must not climb again (no valleys), so during
+// reconvergence a mis-steered cell is discarded rather than looped — the
+// paper's packet-discard window.
+func (d *node) forward(c *netsim.Packet) {
+	if d.sprD != nil {
+		if p := d.pick(d.sprD, d.descend[c.Dst], c.Seq); p >= 0 {
+			c.Down = true
+			d.out[p].send(c)
+			return
+		}
+	}
+	if d.sprUp != nil && !c.Down {
+		if p := d.pick(d.sprUp, d.climb, c.Seq); p >= 0 {
+			d.out[d.climbLo+p].send(c)
 			return
 		}
 	}
@@ -208,37 +212,64 @@ func (d *feDev) Receive(c *netsim.Packet) {
 	d.net.dropCell(c)
 }
 
-// Net owns every device and directed link of one Clos instance. It
-// implements netsim.CellFabric.
-type Net struct {
-	Cfg  Config
-	Sim  *sim.Simulator // solo event heap; shard 0's heap when sharded
-	Topo *topo.Clos
+// pick chooses one set bit: the spreader's next in spray mode, the
+// flow-hashed k-th set bit (the k-th port of the sorted list) in ECMP
+// mode. -1 when the set is empty.
+func (d *node) pick(spr *reach.Spreader, set reach.Bitmap, flow int64) int {
+	if d.net.mode == ModeSpray {
+		return spr.Next(set)
+	}
+	if cnt := set.Count(); cnt > 0 {
+		return set.Nth(int(ecmpHash(d.id, flow) % uint64(cnt)))
+	}
+	return -1
+}
 
-	eng    *parsim.Engine // nil in solo mode
-	shards []*shardState  // len 1 in solo mode
-	assign Sharding
+// ecmpHash mixes (device, flow id) into a uniform 64-bit value — a
+// splitmix64 finalizer, deterministic everywhere.
+func ecmpHash(node int, seq int64) uint64 {
+	x := uint64(node)<<32 ^ uint64(seq)
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
+// Net owns every device and directed link of one topo.Graph instance.
+type Net struct {
+	Cfg   Config
+	Sim   *sim.Simulator // solo event heap; shard 0's heap when sharded
+	Graph topo.Graph
+
+	ctl  control
+	mode RouteMode
+
+	eng       *parsim.Engine // nil in solo mode
+	shards    []*shardState  // len 1 in solo mode
+	nodeShard []int          // device -> owning shard
+
+	nodes  []*node
+	edges  []*node // edge index -> device
+	egress []egress
+	wiring []topo.GraphLink
+	// links holds both directions of every topology link: 2i is A->B,
+	// 2i+1 is B->A.
+	links   []*link
+	linkUp  []bool // per topology link, in Graph.Routes' input shape
+	pipe    *netsim.Pipe
+	hairpin [][]netsim.Handler // per edge: local switching path (src == dst)
 
 	// Rebalancing state (sharded mode; see rebalance.go).
-	laneGroups   []int32 // lane -> owning event group (FA index + 1; 0 = FEs)
+	laneGroups   []int32 // lane -> owning event group (edge index + 1; 0 = immovable)
 	migrateHooks []func(fa, from, to int)
 	migrations   uint64
 
-	fas    []*faDev
-	egress []faEgress
-	fe1    []*feDev
-	fe2    []*feDev
-	// links holds both directions of every topology link: 2i is A->B,
-	// 2i+1 is B->A.
-	links    []*link
-	linkDown []bool             // per topology link
-	pipe     *netsim.Pipe       // solo mode: the shared propagation delay
-	hairpin  [][]netsim.Handler // per FA: local switching path (src FA == dst FA)
-
-	// OnDeliver receives every cell that reaches its destination FA and
-	// owns it (must forward or Release it). When nil, delivered cells are
-	// Released. In sharded mode it runs on the destination FA's shard, so
-	// it must only touch per-FA state — prefer SetEgress there.
+	// OnDeliver receives every cell that reaches its destination edge
+	// device and owns it (must forward or Release it). When nil, delivered
+	// cells are Released. In sharded mode it runs on the destination's
+	// shard, so it must only touch per-edge state — prefer SetEgress there.
 	OnDeliver func(*netsim.Packet)
 
 	// OnCellDrop, when non-nil, observes every cell the fabric drops
@@ -252,14 +283,207 @@ type Net struct {
 	// OnLinkState, when non-nil, observes every administrative state
 	// change of a topology link (FailLink/RestoreLink), at the sim time
 	// the adjacent devices detect it (keepalive, §5.9). The management
-	// plane's event bus hangs off this hook.
+	// plane's event bus hangs off this hook; a layer chains onto it by
+	// saving the previous value and calling it from its own.
 	OnLinkState func(link int, up bool)
-	// OnReachUpdate, when non-nil, observes every reachability update
-	// landing on the spine tier: the delayed withdrawal/readvertisement
-	// of an FE1's reachable set (§5.8). reachable is the FA count the FE1
-	// advertises after the update. In sharded mode it is invoked in
-	// barrier context, in deterministic (time, FE1) order.
-	OnReachUpdate func(fe1 int, reachable int)
+
+	// OnReachUpdate, when non-nil, observes every reachability update.
+	// On a Clos it is the delayed withdrawal/readvertisement of an FE1's
+	// reachable set landing on the spine tier (§5.8): dev is the FE1 and
+	// reachable the FA count it advertises. On other graphs it fires per
+	// device, in device order, whose routable destination count changed
+	// with a route reinstall. In sharded mode it is invoked in barrier
+	// context, in deterministic order.
+	OnReachUpdate func(dev, reachable int)
+}
+
+// New builds all devices and links of g on the single event loop s.
+func New(s *sim.Simulator, cfg Config, g topo.Graph) (*Net, error) {
+	return build(cfg, g, []*shardState{{sm: s}}, make([]int, g.NumNodes()), nil)
+}
+
+// NewSharded builds the fabric across the shards of eng. assign maps each
+// device (Graph node) to a shard; nil assigns contiguous index blocks per
+// tier — a deterministic function of (topology, shard count), so two runs
+// at the same shard count always cut the same links. The engine's
+// lookahead must not exceed the link delay (a cell crossing a cut link
+// must arrive at least one window later) and the reach delay must be at
+// least two lookaheads (build + deliver).
+func NewSharded(eng *parsim.Engine, cfg Config, g topo.Graph, assign []int) (*Net, error) {
+	if eng.Lookahead() > cfg.LinkDelay {
+		return nil, fmt.Errorf("fabric: engine lookahead %d exceeds link delay %d", eng.Lookahead(), cfg.LinkDelay)
+	}
+	if cfg.ReachDelay < 2*eng.Lookahead() {
+		return nil, fmt.Errorf("fabric: reach delay %d below two lookaheads (%d)", cfg.ReachDelay, 2*eng.Lookahead())
+	}
+	if assign == nil {
+		assign = assignShards(g, eng.Shards())
+	}
+	if len(assign) != g.NumNodes() {
+		return nil, fmt.Errorf("fabric: sharding shape %d does not match %d nodes", len(assign), g.NumNodes())
+	}
+	for _, s := range assign {
+		if s < 0 || s >= eng.Shards() {
+			return nil, fmt.Errorf("fabric: shard %d out of range [0,%d)", s, eng.Shards())
+		}
+	}
+	shards := make([]*shardState, eng.Shards())
+	for i := range shards {
+		shards[i] = &shardState{id: i, sm: eng.Shard(i).Sim()}
+	}
+	return build(cfg, g, shards, append([]int(nil), assign...), eng)
+}
+
+// assignShards distributes the devices over n shards in contiguous index
+// blocks, each tier independently.
+func assignShards(g topo.Graph, n int) []int {
+	tier := make([]int, g.NumNodes())
+	size, seen := make(map[int]int), make(map[int]int)
+	for i := range tier {
+		tier[i] = g.Node(i).Tier
+		size[tier[i]]++
+	}
+	out := make([]int, len(tier))
+	for i, t := range tier {
+		out[i] = seen[t] * n / size[t]
+		seen[t]++
+	}
+	return out
+}
+
+// build wires devices and links. shards is the shard table (one entry in
+// solo mode), assign maps devices onto it, eng is the parsim engine or nil.
+func build(cfg Config, g topo.Graph, shards []*shardState, assign []int, eng *parsim.Engine) (*Net, error) {
+	if cfg.LinkRate <= 0 || cfg.LinkBytes <= 0 {
+		return nil, fmt.Errorf("fabric: need positive link rate and capacity")
+	}
+	if cfg.ReshuffleRounds < 1 {
+		cfg.ReshuffleRounds = 64
+	}
+	n := &Net{
+		Cfg:       cfg,
+		Sim:       shards[0].sm,
+		Graph:     g,
+		eng:       eng,
+		shards:    shards,
+		nodeShard: assign,
+		wiring:    g.GraphLinks(),
+	}
+	// The reach protocol needs only the Clos wiring checks; the route
+	// recompute also needs routes from everywhere to everywhere.
+	if cl, ok := g.(*topo.Clos); ok {
+		if err := cl.Validate(); err != nil {
+			return nil, err
+		}
+		n.ctl = newClosControl(n, cl)
+	} else {
+		if err := topo.ValidateGraph(g); err != nil {
+			return nil, err
+		}
+		n.ctl = &graphControl{n: n}
+	}
+	n.linkUp = make([]bool, len(n.wiring))
+	for i := range n.linkUp {
+		n.linkUp[i] = true
+	}
+	if eng == nil {
+		n.pipe = netsim.NewPipe(n.Sim, cfg.LinkDelay)
+	}
+
+	// Spreader seeds are drawn in device order, one per non-empty port
+	// class, descend before climb.
+	seeds := rand.New(rand.NewSource(cfg.Seed))
+	edgeOf := topo.EdgeOfNode(g)
+	names := make([]string, g.NumNodes())
+	n.nodes = make([]*node, g.NumNodes())
+	for i := range n.nodes {
+		info := g.Node(i)
+		names[i] = info.Name
+		d := &node{
+			net:  n,
+			sh:   shards[assign[i]],
+			id:   i,
+			edge: int32(edgeOf[i]),
+			out:  make([]*link, info.Ports),
+		}
+		down, upLo, up := n.ctl.classes(i)
+		if down > 0 {
+			d.sprD = reach.NewSpreader(down, cfg.ReshuffleRounds, seeds.Int63())
+		}
+		if up > 0 {
+			d.climbLo = upLo
+			d.climb = reach.NewBitmap(up)
+			d.sprUp = reach.NewSpreader(up, cfg.ReshuffleRounds, seeds.Int63())
+		}
+		n.nodes[i] = d
+	}
+	numEdge := g.NumEdge()
+	n.edges = make([]*node, numEdge)
+	n.egress = make([]egress, numEdge)
+	n.hairpin = make([][]netsim.Handler, numEdge)
+	for e := range n.egress {
+		n.edges[e] = n.nodes[g.EdgeNode(e)]
+		sh := n.edges[e].sh
+		n.egress[e] = egress{net: n, sh: sh}
+		if eng == nil {
+			n.hairpin[e] = []netsim.Handler{n.pipe, &n.egress[e]}
+		} else {
+			lp := &netsim.LanePipe{Sched: sh.sm, Delay: cfg.LinkDelay, Lane: n.hairpinLane(e)}
+			n.hairpin[e] = []netsim.Handler{lp, &n.egress[e]}
+		}
+	}
+
+	// One link per direction. Solo mode: the shared pipe (default event
+	// lane). Sharded mode: a LanePipe on the directed link's own lane,
+	// crossing shards through the engine's mailboxes when needed.
+	mkLink := func(from, port, to int) *link {
+		fromSh, toSh := shards[assign[from]], shards[assign[to]]
+		l := &link{
+			net: n,
+			sh:  toSh,
+			q:   netsim.NewQueue(fromSh.sm, fmt.Sprintf("%s:%d", names[from], port), cfg.LinkRate, cfg.LinkBytes, 0),
+			to:  n.nodes[to],
+			up:  true,
+		}
+		if eng == nil {
+			l.route = []netsim.Handler{l.q, n.pipe, l}
+		} else {
+			lp := &netsim.LanePipe{Sched: eng.Shard(fromSh.id).To(toSh.id), Delay: cfg.LinkDelay, Lane: int32(len(n.links))}
+			l.route = []netsim.Handler{l.q, lp, l}
+		}
+		n.links = append(n.links, l)
+		return l
+	}
+	for _, lk := range n.wiring {
+		n.nodes[lk.A].out[lk.APort] = mkLink(lk.A, lk.APort, lk.B)
+		n.nodes[lk.B].out[lk.BPort] = mkLink(lk.B, lk.BPort, lk.A)
+	}
+
+	if eng != nil {
+		// Lane -> event-group table for adaptive rebalancing: deliveries
+		// onto an edge device — over a link or its hairpin path — belong to
+		// that device's migratable group; everything landing on a transit
+		// device (and every control-plane flow) stays in immovable group 0.
+		tbl := make([]int32, n.Lanes())
+		for i, lk := range n.wiring {
+			if e := edgeOf[lk.B]; e >= 0 {
+				tbl[2*i] = n.GroupOfFA(e)
+			}
+			if e := edgeOf[lk.A]; e >= 0 {
+				tbl[2*i+1] = n.GroupOfFA(e)
+			}
+		}
+		for e := 0; e < numEdge; e++ {
+			tbl[n.hairpinLane(e)] = n.GroupOfFA(e)
+		}
+		n.laneGroups = tbl
+		for _, sh := range shards {
+			sh.sm.SetLaneGroups(tbl)
+			sh.sm.EnsureGroups(numEdge + 1)
+		}
+	}
+	n.ctl.install()
+	return n, nil
 }
 
 // dropCell releases a cell lost inside the fabric, after showing it to
@@ -271,313 +495,121 @@ func (n *Net) dropCell(c *netsim.Packet) {
 	c.Release()
 }
 
+// hairpinLane is the event lane of edge e's local switching path: after
+// the directed links' lanes and the control plane's.
+func (n *Net) hairpinLane(e int) int32 {
+	return int32(2*len(n.wiring) + n.ctl.lanes() + e)
+}
+
+// Lanes returns the first event lane not used by the fabric: the lane
+// space [0, Lanes()) names the fabric's directed links, control-plane
+// flows and hairpin paths. A transport layered on top of a sharded fabric
+// (the sharded Stardust substrate) allocates its own lanes from Lanes()
+// up, so the two layers' same-instant events never collide on one lane.
+func (n *Net) Lanes() int32 { return n.hairpinLane(len(n.edges)) }
+
 // Sharded reports whether the fabric runs on a parsim engine.
 func (n *Net) Sharded() bool { return n.eng != nil }
 
 // Engine returns the parsim engine of a sharded fabric (nil in solo mode).
 func (n *Net) Engine() *parsim.Engine { return n.eng }
 
-// Injected counts cells handed to Inject. Aggregated across shards; call
-// it only when the fabric is quiescent (between runs / in barrier context).
-func (n *Net) Injected() uint64 {
-	var v uint64
-	for _, sh := range n.shards {
-		v += sh.injected
-	}
-	return v
-}
+// NumFA returns the number of edge devices — the injection and delivery
+// points (FAs on a Clos, switches or servers elsewhere).
+func (n *Net) NumFA() int { return len(n.edges) }
 
-// Delivered counts cells that reached their destination FA (same
-// quiescence caveat as Injected).
-func (n *Net) Delivered() uint64 {
-	var v uint64
-	for _, sh := range n.shards {
-		v += sh.delivered
-	}
-	return v
-}
+// NumLinks returns the number of full-duplex topology links.
+func (n *Net) NumLinks() int { return len(n.wiring) }
 
-// DeadDrops counts cells lost on a failed link (same quiescence caveat).
-func (n *Net) DeadDrops() uint64 {
-	var v uint64
-	for _, sh := range n.shards {
-		v += sh.deadDrops
-	}
-	return v
-}
+// SetMode selects spray or per-flow ECMP forwarding. Call before the run
+// starts.
+func (n *Net) SetMode(m RouteMode) { n.mode = m }
 
-// NoRouteDrops counts cells discarded with no live next hop — the
-// convergence window (same quiescence caveat).
-func (n *Net) NoRouteDrops() uint64 {
-	var v uint64
-	for _, sh := range n.shards {
-		v += sh.noRouteDrops
-	}
-	return v
-}
+// ShardOfFA returns the shard owning edge device fa — the shard whose
+// Simulator injection events and egress endpoints for fa must run on.
+func (n *Net) ShardOfFA(fa int) int { return n.edges[fa].sh.id }
 
-// New builds all devices and links of the Clos instance c on the single
-// event loop s.
-func New(s *sim.Simulator, cfg Config, c *topo.Clos) (*Net, error) {
-	solo := &shardState{id: 0, sm: s}
-	n, err := build(cfg, c, []*shardState{solo}, Sharding{}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return n, nil
-}
+// edgeSim returns the event heap edge device fa's events run on,
+// re-resolved per call because rebalancing migrations may move it.
+func (n *Net) edgeSim(fa int) *sim.Simulator { return n.edges[fa].sh.sm }
 
-// build wires devices and links. shards is the shard table (one entry in
-// solo mode); assign maps devices onto it (ignored when eng is nil, where
-// everything lands on shards[0]); eng is the parsim engine or nil.
-func build(cfg Config, c *topo.Clos, shards []*shardState, assign Sharding, eng *parsim.Engine) (*Net, error) {
-	if cfg.LinkRate <= 0 || cfg.LinkBytes <= 0 {
-		return nil, fmt.Errorf("fabric: need positive link rate and capacity")
-	}
-	if cfg.ReshuffleRounds < 1 {
-		cfg.ReshuffleRounds = 64
-	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	n := &Net{
-		Cfg:      cfg,
-		Sim:      shards[0].sm,
-		Topo:     c,
-		eng:      eng,
-		shards:   shards,
-		assign:   assign,
-		linkDown: make([]bool, len(c.Links)),
-	}
-	if eng == nil {
-		n.pipe = netsim.NewPipe(n.Sim, cfg.LinkDelay)
-	}
-	faShard := func(i int) *shardState {
-		if eng == nil {
-			return shards[0]
-		}
-		return shards[assign.FA[i]]
-	}
-	fe1Shard := func(i int) *shardState {
-		if eng == nil {
-			return shards[0]
-		}
-		return shards[assign.FE1[i]]
-	}
-	fe2Shard := func(i int) *shardState {
-		if eng == nil {
-			return shards[0]
-		}
-		return shards[assign.FE2[i]]
-	}
-	seeds := rand.New(rand.NewSource(cfg.Seed))
-
-	n.fas = make([]*faDev, c.NumFA)
-	n.egress = make([]faEgress, c.NumFA)
-	n.hairpin = make([][]netsim.Handler, c.NumFA)
-	for i := range n.fas {
-		sh := faShard(i)
-		n.egress[i] = faEgress{net: n, sh: sh, id: i}
-		n.fas[i] = &faDev{
-			net:  n,
-			sh:   sh,
-			id:   i,
-			up:   make([]*link, c.FAUplinks),
-			live: reach.NewBitmap(c.FAUplinks),
-			spr:  reach.NewSpreader(c.FAUplinks, cfg.ReshuffleRounds, seeds.Int63()),
-		}
-		if eng == nil {
-			n.hairpin[i] = []netsim.Handler{n.pipe, &n.egress[i]}
-		} else {
-			lp := &netsim.LanePipe{Sched: sh.sm, Delay: cfg.LinkDelay, Lane: n.hairpinLane(i)}
-			n.hairpin[i] = []netsim.Handler{lp, &n.egress[i]}
-		}
-	}
-	mkFE := func(sh *shardState, id topo.NodeID, downs, ups int) *feDev {
-		d := &feDev{
-			net:      n,
-			sh:       sh,
-			id:       id,
-			down:     make([]*link, downs),
-			downPeer: make([]int, downs),
-			tbl:      reach.NewTable(c.NumFA, downs),
-			sprDown:  reach.NewSpreader(downs, cfg.ReshuffleRounds, seeds.Int63()),
-		}
-		if ups > 0 {
-			d.ups = make([]*link, ups)
-			d.spines = make([]spinePort, ups)
-			d.liveUp = reach.NewBitmap(ups)
-			d.sprUp = reach.NewSpreader(ups, cfg.ReshuffleRounds, seeds.Int63())
-		}
-		return d
-	}
-	n.fe1 = make([]*feDev, c.NumFE1)
-	for i := range n.fe1 {
-		n.fe1[i] = mkFE(fe1Shard(i), topo.NodeID{Kind: topo.KindFE1, Index: i}, c.FE1Down, c.FE1Up)
-	}
-	n.fe2 = make([]*feDev, c.NumFE2)
-	for i := range n.fe2 {
-		n.fe2[i] = mkFE(fe2Shard(i), topo.NodeID{Kind: topo.KindFE2, Index: i}, c.FE2Down, 0)
-	}
-
-	// mkLink builds one directed link from a device on shard `from` to a
-	// receiver on shard `to`. Solo mode: the legacy shared pipe (default
-	// event lane). Sharded mode: a LanePipe on the directed link's own
-	// lane, crossing shards through the engine's mailboxes when needed.
-	mkLink := func(from topo.NodeID, port int, fromSh, toSh *shardState, to netsim.Handler) *link {
-		l := &link{
-			net: n,
-			sh:  toSh,
-			q:   netsim.NewQueue(fromSh.sm, fmt.Sprintf("%v:%d", from, port), cfg.LinkRate, cfg.LinkBytes, 0),
-			to:  to,
-			up:  true,
-		}
-		if eng == nil {
-			l.route = []netsim.Handler{l.q, n.pipe, l}
-		} else {
-			lane := int32(len(n.links))
-			lp := &netsim.LanePipe{
-				Sched: eng.Shard(fromSh.id).To(toSh.id),
-				Delay: cfg.LinkDelay,
-				Lane:  lane,
-			}
-			l.route = []netsim.Handler{l.q, lp, l}
-		}
-		n.links = append(n.links, l)
-		return l
-	}
-	for _, lk := range c.Links {
-		switch {
-		case lk.A.Kind == topo.KindFA && lk.B.Kind == topo.KindFE1:
-			fa, fe := n.fas[lk.A.Index], n.fe1[lk.B.Index]
-			upL := mkLink(lk.A, lk.APort, fa.sh, fe.sh, fe)
-			fa.up[lk.APort] = upL
-			fa.live.Set(lk.APort)
-			dnL := mkLink(lk.B, lk.BPort, fe.sh, fa.sh, &n.egress[lk.A.Index])
-			fe.down[lk.BPort] = dnL
-			fe.downPeer[lk.BPort] = lk.A.Index
-		case lk.A.Kind == topo.KindFE1 && lk.B.Kind == topo.KindFE2:
-			fe, sp := n.fe1[lk.A.Index], n.fe2[lk.B.Index]
-			u := lk.APort - c.FE1Down
-			upL := mkLink(lk.A, lk.APort, fe.sh, sp.sh, sp)
-			fe.ups[u] = upL
-			fe.liveUp.Set(u)
-			fe.spines[u] = spinePort{spine: lk.B.Index, port: lk.BPort}
-			dnL := mkLink(lk.B, lk.BPort, sp.sh, fe.sh, fe)
-			sp.down[lk.BPort] = dnL
-			sp.downPeer[lk.BPort] = lk.A.Index
-		default:
-			return nil, fmt.Errorf("fabric: unsupported link %v-%v", lk.A, lk.B)
-		}
-	}
-
-	if eng != nil {
-		// Lane -> event-group table for adaptive rebalancing (rebalance.go):
-		// deliveries onto an FA — its down links and its hairpin path — belong
-		// to that FA's migratable group; everything landing on an FE (uplink
-		// deliveries, FE<->FE links, reach flows) stays in immovable group 0.
-		tbl := make([]int32, n.Lanes())
-		for li, lk := range c.Links {
-			if lk.A.Kind == topo.KindFA {
-				tbl[2*li+1] = n.GroupOfFA(lk.A.Index) // FE1 -> FA delivery
-			}
-		}
-		for i := 0; i < c.NumFA; i++ {
-			tbl[n.hairpinLane(i)] = n.GroupOfFA(i)
-		}
-		n.laneGroups = tbl
-		for _, sh := range shards {
-			sh.sm.SetLaneGroups(tbl)
-			sh.sm.EnsureGroups(c.NumFA + 1)
-		}
-	}
-
-	// Seed the reachability tables from the wiring: each FE1 down port
-	// advertises its attached FA; each FE2 down port carries the full
-	// reachable set of the FE1 behind it (§5.8).
-	one := reach.NewBitmap(c.NumFA)
-	for _, fe := range n.fe1 {
-		for p, fa := range fe.downPeer {
-			one.Reset()
-			one.Set(fa)
-			applySet(fe.tbl, p, one, c.NumFA)
-		}
-	}
-	for _, sp := range n.fe2 {
-		for p, f := range sp.downPeer {
-			applySet(sp.tbl, p, n.fe1[f].tbl.ReachableSet(), c.NumFA)
-		}
-	}
-	return n, nil
-}
-
-// reachLane is the event lane of FE1 i's reachability updates: after every
-// directed link's lane, so at the same instant cells arrive before
-// forwarding state changes (a fixed, partition-independent rule).
-func (n *Net) reachLane(i int) int32 { return int32(2*len(n.Topo.Links) + i) }
-
-// hairpinLane is the event lane of FA i's local switching path.
-func (n *Net) hairpinLane(i int) int32 {
-	return int32(2*len(n.Topo.Links) + n.Topo.NumFE1 + i)
-}
-
-// Lanes returns the first event lane not used by the fabric: the lane
-// space [0, Lanes()) names the fabric's directed links, reach flows and
-// hairpin paths. A transport layered on top of a sharded fabric (the
-// sharded Stardust substrate) allocates its own lanes from Lanes() up, so
-// the two layers' same-instant events never collide on one lane.
-func (n *Net) Lanes() int32 {
-	return int32(2*len(n.Topo.Links) + n.Topo.NumFE1 + n.Topo.NumFA)
-}
-
-// NumFA returns the number of Fabric Adapters (edge devices).
-func (n *Net) NumFA() int { return n.Topo.NumFA }
-
-// applySet installs set as the advertised reachability of one link via
-// the wire-format message sequence (exercising the real protocol path).
-func applySet(t *reach.Table, port int, set reach.Bitmap, numFA int) {
-	for _, m := range reach.BuildMessages(0, set, numFA) {
-		if err := t.ApplyMessage(port, m); err != nil {
-			panic(err) // construction-time wiring bug
-		}
-	}
-}
-
-// SetEgress installs h as the delivery endpoint of destination FA fa,
+// SetEgress installs h as the delivery endpoint of destination edge fa,
 // taking precedence over OnDeliver. The handler owns delivered cells
 // (forward or Release). In sharded mode h runs pinned to fa's shard, so a
-// per-FA endpoint needs no locking.
+// per-edge endpoint needs no locking.
 func (n *Net) SetEgress(fa int, h netsim.Handler) { n.egress[fa].to = h }
 
-// Inject sends one cell from srcFA toward dstFA. The cell's Flow field is
-// opaque to the fabric and travels with it; delivered cells are handed to
-// the egress endpoint (SetEgress/OnDeliver), lost cells are Released.
-// Implements netsim.CellFabric. In sharded mode it must be called from
-// srcFA's shard (an event scheduled on that shard's Simulator).
+// Inject sends one cell from edge srcFA toward edge dstFA. The cell's Flow
+// field is opaque to the fabric and travels with it; delivered cells are
+// handed to the egress endpoint (SetEgress/OnDeliver), lost cells are
+// Released. In sharded mode it must be called from srcFA's shard (an
+// event scheduled on that shard's Simulator). In ECMP mode the cell is
+// stamped with its flow id (in Seq) so every hop hashes the flow to the
+// same path; ECMP fabrics therefore cannot carry a transport that uses Seq.
 func (n *Net) Inject(c *netsim.Packet, srcFA, dstFA int) {
-	d := n.fas[srcFA]
+	d := n.edges[srcFA]
 	d.sh.injected++
 	c.Dst = int32(dstFA)
 	c.Down = false
 	if srcFA == dstFA {
-		// Local switching inside the adapter: no fabric crossing.
+		// Local switching inside the device: no fabric crossing.
 		c.SetRoute(n.hairpin[srcFA])
 		c.SendOn()
 		return
 	}
-	if l := d.spr.Next(d.live); l >= 0 {
-		d.up[l].send(c)
-		return
+	if n.mode == ModeECMP {
+		c.Seq = int64(srcFA)*int64(len(n.edges)) + int64(dstFA) + 1
 	}
-	d.sh.noRouteDrops++
-	n.dropCell(c)
+	d.forward(c)
 }
+
+// ShardTraffic is one shard's slice of the fabric's traffic accounting —
+// written only by that shard's event loop, so in a distributed run only
+// the shard's owner holds real values and reports them.
+type ShardTraffic struct {
+	Injected     uint64
+	Delivered    uint64
+	DeadDrops    uint64 // lost on a failed link
+	NoRouteDrops uint64 // discarded with no live next hop (convergence)
+}
+
+// TrafficOfShard snapshots shard s's counters. Barrier context only.
+func (n *Net) TrafficOfShard(s int) ShardTraffic {
+	sh := n.shards[s]
+	return ShardTraffic{sh.injected, sh.delivered, sh.deadDrops, sh.noRouteDrops}
+}
+
+// traffic sums the traffic counters of every shard. Call it only when the
+// fabric is quiescent (between runs / in barrier context).
+func (n *Net) traffic() ShardTraffic {
+	var t ShardTraffic
+	for s := range n.shards {
+		st := n.TrafficOfShard(s)
+		t.Injected += st.Injected
+		t.Delivered += st.Delivered
+		t.DeadDrops += st.DeadDrops
+		t.NoRouteDrops += st.NoRouteDrops
+	}
+	return t
+}
+
+// Injected counts cells handed to Inject (quiescent only, as traffic).
+func (n *Net) Injected() uint64 { return n.traffic().Injected }
+
+// Delivered counts cells that reached their destination (quiescent only).
+func (n *Net) Delivered() uint64 { return n.traffic().Delivered }
 
 // Drops counts every cell lost inside the fabric: failed-link losses,
 // no-route discards during convergence, and link-queue tail drops.
-// Implements netsim.CellFabric. Same quiescence caveat as Injected.
+// Implements netsim.CellFabric (quiescent only).
 func (n *Net) Drops() uint64 {
-	d := n.DeadDrops() + n.NoRouteDrops()
+	t := n.traffic()
+	return t.DeadDrops + t.NoRouteDrops + n.QueueDrops()
+}
+
+// QueueDrops sums tail drops across all link queues.
+func (n *Net) QueueDrops() uint64 {
+	var d uint64
 	for _, l := range n.links {
 		d += l.q.Drops
 	}
@@ -585,39 +617,28 @@ func (n *Net) Drops() uint64 {
 }
 
 // FailLink takes down both directions of topology link i (an index into
-// Topo.Links). The adjacent devices detect the loss immediately
-// (keepalive, §5.9); withdrawal of any lost FA reachability reaches the
-// spine tier after Cfg.ReachDelay (§5.8, Appendix E). In sharded mode it
-// mutates state on several shards and must therefore run in barrier
-// context (parsim Engine.At / OnBarrier).
-func (n *Net) FailLink(i int) {
-	n.checkBarrier()
-	if n.linkDown[i] {
-		return
-	}
-	n.linkDown[i] = true
-	n.links[2*i].up = false
-	n.links[2*i+1].up = false
-	n.applyLinkState(n.Topo.Links[i], false)
-	if n.OnLinkState != nil {
-		n.OnLinkState(i, false)
-	}
-}
+// Graph.GraphLinks). The adjacent devices detect the loss immediately
+// (keepalive, §5.9); the control plane reconverges after Cfg.ReachDelay.
+// In sharded mode it mutates state on several shards and must therefore
+// run in barrier context (parsim Engine.At / OnBarrier).
+func (n *Net) FailLink(i int) { n.setLink(i, false) }
 
-// RestoreLink brings topology link i back up and re-advertises the
-// recovered reachability after the same propagation delay. The sharded-
-// mode barrier-context requirement of FailLink applies.
-func (n *Net) RestoreLink(i int) {
+// RestoreLink brings topology link i back up; the control plane
+// re-advertises the recovered reachability after the same delay. The
+// barrier-context requirement of FailLink applies.
+func (n *Net) RestoreLink(i int) { n.setLink(i, true) }
+
+func (n *Net) setLink(i int, up bool) {
 	n.checkBarrier()
-	if !n.linkDown[i] {
+	if n.linkUp[i] == up {
 		return
 	}
-	n.linkDown[i] = false
-	n.links[2*i].up = true
-	n.links[2*i+1].up = true
-	n.applyLinkState(n.Topo.Links[i], true)
+	n.linkUp[i] = up
+	n.links[2*i].up = up
+	n.links[2*i+1].up = up
+	n.ctl.linkChanged(i, up)
 	if n.OnLinkState != nil {
-		n.OnLinkState(i, true)
+		n.OnLinkState(i, up)
 	}
 }
 
@@ -629,97 +650,30 @@ func (n *Net) checkBarrier() {
 	}
 }
 
-func (n *Net) applyLinkState(lk topo.Link, up bool) {
-	switch lk.A.Kind {
-	case topo.KindFA: // FA <-> FE1
-		fa, fe := n.fas[lk.A.Index], n.fe1[lk.B.Index]
-		if up {
-			fa.live.Set(lk.APort)
-			one := reach.NewBitmap(n.Topo.NumFA)
-			one.Set(lk.A.Index)
-			applySet(fe.tbl, lk.BPort, one, n.Topo.NumFA)
-		} else {
-			fa.live.Clear(lk.APort)
-			fe.tbl.LinkDown(lk.BPort)
-		}
-		n.readvertise(fe)
-	case topo.KindFE1: // FE1 <-> FE2
-		fe, sp := n.fe1[lk.A.Index], n.fe2[lk.B.Index]
-		u := lk.APort - n.Topo.FE1Down
-		if up {
-			fe.liveUp.Set(u)
-			applySet(sp.tbl, lk.BPort, fe.tbl.ReachableSet(), n.Topo.NumFA)
-		} else {
-			fe.liveUp.Clear(u)
-			sp.tbl.LinkDown(lk.BPort)
-		}
-	}
-}
+// LinkUp reports the administrative state of topology link i.
+func (n *Net) LinkUp(i int) bool { return n.linkUp[i] }
 
-// readvertise propagates fe's (changed) reachable set to every spine it
-// still has a live link to, after the protocol's propagation delay. Solo
-// mode recomputes the set at delivery time, so overlapping failures
-// coalesce into the latest truth; sharded mode builds one lookahead
-// before delivery (sharded.go) so the messages can cross shards.
-func (n *Net) readvertise(fe *feDev) {
-	if len(n.fe2) == 0 {
-		return // single-tier fabric: FAs spray blindly, nothing upstream
-	}
-	if n.eng != nil {
-		n.readvertiseSharded(fe)
-		return
-	}
-	n.Sim.After(n.Cfg.ReachDelay, func() {
-		set := fe.tbl.ReachableSet()
-		msgs := reach.BuildMessages(uint16(fe.id.Index), set, n.Topo.NumFA)
-		for _, sp := range n.fe2 {
-			for p, peer := range sp.downPeer {
-				if peer != fe.id.Index || !sp.down[p].up {
-					continue
-				}
-				for _, m := range msgs {
-					if err := sp.tbl.ApplyMessage(p, m); err != nil {
-						panic(err)
-					}
-				}
-			}
-		}
-		if n.OnReachUpdate != nil {
-			n.OnReachUpdate(fe.id.Index, set.Count())
-		}
-	})
-}
-
-// UnreachablePairs cross-checks the reachability state after failures: it
-// counts (spine, destination FA) pairs with no live down path plus FAs
-// with no live uplink at all. Zero means every destination is still
-// deliverable from everywhere — the §5.9 self-healing invariant. Sharded
-// mode: barrier context only.
+// UnreachablePairs cross-checks the reachability state after failures:
+// the spine-held part (SpineUnreachable over every spine) plus the
+// replicated part (ReplicatedUnreachable). Zero means every destination
+// is still deliverable from everywhere — the §5.9 self-healing invariant.
+// Sharded mode: barrier context only.
 func (n *Net) UnreachablePairs() int {
-	bad := 0
-	for _, sp := range n.fe2 {
-		for fa := 0; fa < n.Topo.NumFA; fa++ {
-			if !sp.tbl.Reachable(fa) {
-				bad++
-			}
-		}
-	}
-	for _, d := range n.fas {
-		if d.live.Count() == 0 {
-			bad++
-		}
+	bad := n.ctl.replicatedUnreachable()
+	for i := 0; i < n.Spines(); i++ {
+		bad += n.SpineUnreachable(i)
 	}
 	return bad
 }
 
-// FAUplinkBytes returns the forwarded byte count of every FA uplink
-// queue in device-major order — the per-link load-balance evidence for
-// the linkload experiment.
+// FAUplinkBytes returns the forwarded bytes of every edge device's
+// outbound links, edge-major in ascending directed-link order — the
+// per-link load-balance evidence of the linkload experiments.
 func (n *Net) FAUplinkBytes() []uint64 {
-	out := make([]uint64, 0, n.Topo.NumFA*n.Topo.FAUplinks)
-	for _, d := range n.fas {
-		for _, l := range d.up {
-			out = append(out, l.q.FwdBytes)
+	var out []uint64
+	for _, dirs := range topo.EdgeUplinkDirs(n.Graph) {
+		for _, d := range dirs {
+			out = append(out, n.links[d].q.FwdBytes)
 		}
 	}
 	return out
@@ -728,7 +682,7 @@ func (n *Net) FAUplinkBytes() []uint64 {
 // LinkCounters is a point-in-time snapshot of one directed link's
 // counters — the raw material of the management plane's telemetry scrape.
 type LinkCounters struct {
-	Link       int  // topology link index (into Topo.Links)
+	Link       int  // topology link index (into Graph.GraphLinks)
 	Dir        int  // 0 = A->B, 1 = B->A
 	Up         bool // administrative state
 	FwdBytes   uint64
@@ -738,28 +692,22 @@ type LinkCounters struct {
 	PeakBytes  int
 }
 
-// NumLinks returns the number of full-duplex topology links.
-func (n *Net) NumLinks() int { return len(n.linkDown) }
-
-// LinkUp reports the administrative state of topology link i.
-func (n *Net) LinkUp(i int) bool { return !n.linkDown[i] }
-
 // ReadLinkCounters snapshots both directions of topology link i into out
 // (a 2-element window), so a periodic scraper can read the whole fabric
 // without allocating. out[0] is the A->B direction. Sharded mode: barrier
 // context only (the scrape crosses every shard's queues).
 func (n *Net) ReadLinkCounters(i int, out *[2]LinkCounters) {
 	for d := 0; d < 2; d++ {
-		l := n.links[2*i+d]
+		q := n.links[2*i+d].q
 		out[d] = LinkCounters{
 			Link:       i,
 			Dir:        d,
-			Up:         l.up,
-			FwdBytes:   l.q.FwdBytes,
-			FwdCells:   l.q.Forwarded,
-			Drops:      l.q.Drops,
-			QueueBytes: l.q.Bytes(),
-			PeakBytes:  l.q.PeakBytes,
+			Up:         n.linkUp[i],
+			FwdBytes:   q.FwdBytes,
+			FwdCells:   q.Forwarded,
+			Drops:      q.Drops,
+			QueueBytes: q.Bytes(),
+			PeakBytes:  q.PeakBytes,
 		}
 	}
 }
@@ -772,9 +720,13 @@ func (n *Net) VisitQueues(fn func(q *netsim.Queue)) {
 	}
 }
 
-// QueueDrops sums tail drops across all link queues.
-func (n *Net) QueueDrops() uint64 {
-	var d uint64
-	n.VisitQueues(func(q *netsim.Queue) { d += q.Drops })
-	return d
+// ShardEvents returns the cumulative executed-event count of every shard's
+// event loop — the imbalance evidence the parscale scenario reports.
+// Barrier context only.
+func (n *Net) ShardEvents() []uint64 {
+	out := make([]uint64, len(n.shards))
+	for i, sh := range n.shards {
+		out[i] = sh.sm.Processed
+	}
+	return out
 }

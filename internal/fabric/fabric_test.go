@@ -30,7 +30,7 @@ func TestClosForShapes(t *testing.T) {
 }
 
 // newTestNet builds a K=4 fabric (8 FAs, 4 FE1s, 4 FE2s).
-func newTestNet(t *testing.T, seed int64) (*sim.Simulator, *Net) {
+func newTestNet(t *testing.T, seed int64) (*sim.Simulator, *Net, *topo.Clos) {
 	t.Helper()
 	c, err := ClosFor(4)
 	if err != nil {
@@ -41,13 +41,13 @@ func newTestNet(t *testing.T, seed int64) (*sim.Simulator, *Net) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, n
+	return s, n, c
 }
 
 // inject paces cells from every FA to a permutation destination; rate is
 // well under the per-FA uplink capacity so queues never overflow.
 func injectAll(s *sim.Simulator, n *Net, cells int) {
-	numFA := n.Topo.NumFA
+	numFA := n.NumFA()
 	gap := 2 * sim.Microsecond // 512B at 10G is ~410ns; x5 headroom over 2 uplinks
 	for i := 0; i < cells; i++ {
 		i := i
@@ -62,7 +62,7 @@ func injectAll(s *sim.Simulator, n *Net, cells int) {
 }
 
 func TestFabricDeliversEverything(t *testing.T) {
-	s, n := newTestNet(t, 1)
+	s, n, _ := newTestNet(t, 1)
 	const cells = 4000
 	injectAll(s, n, cells)
 	s.Run()
@@ -71,7 +71,7 @@ func TestFabricDeliversEverything(t *testing.T) {
 	}
 	if n.Delivered() != cells {
 		t.Fatalf("delivered %d of %d (drops: dead=%d noroute=%d queue=%d)",
-			n.Delivered(), cells, n.DeadDrops(), n.NoRouteDrops(), n.QueueDrops())
+			n.Delivered(), cells, n.traffic().DeadDrops, n.traffic().NoRouteDrops, n.QueueDrops())
 	}
 	if n.Drops() != 0 {
 		t.Fatalf("healthy fabric dropped %d cells", n.Drops())
@@ -79,7 +79,7 @@ func TestFabricDeliversEverything(t *testing.T) {
 }
 
 func TestFabricHairpin(t *testing.T) {
-	s, n := newTestNet(t, 1)
+	s, n, _ := newTestNet(t, 1)
 	got := 0
 	n.OnDeliver = func(c *netsim.Packet) { got++; c.Release() }
 	c := netsim.NewPacket()
@@ -94,13 +94,13 @@ func TestFabricHairpin(t *testing.T) {
 // §5.3: under sustained traffic the source FA's uplinks must carry byte
 // counts within a few percent of each other.
 func TestFabricSprayBalance(t *testing.T) {
-	s, n := newTestNet(t, 7)
+	s, n, cl := newTestNet(t, 7)
 	const cells = 6000
 	injectAll(s, n, cells)
 	s.Run()
-	perFA := n.Topo.FAUplinks
+	perFA := cl.FAUplinks
 	bytes := n.FAUplinkBytes()
-	for fa := 0; fa < n.Topo.NumFA; fa++ {
+	for fa := 0; fa < cl.NumFA; fa++ {
 		var min, max uint64
 		for p := 0; p < perFA; p++ {
 			b := bytes[fa*perFA+p]
@@ -122,7 +122,7 @@ func TestFabricSprayBalance(t *testing.T) {
 
 func TestFabricDeterminism(t *testing.T) {
 	run := func() (uint64, []uint64) {
-		s, n := newTestNet(t, 42)
+		s, n, _ := newTestNet(t, 42)
 		injectAll(s, n, 3000)
 		s.Run()
 		return n.Delivered(), n.FAUplinkBytes()
@@ -143,12 +143,12 @@ func TestFabricDeterminism(t *testing.T) {
 // reachability invariant, and leak nothing: every injected cell is
 // either delivered or released through a counted drop path.
 func TestFabricFailureBalanceAndRecovery(t *testing.T) {
-	s, n := newTestNet(t, 3)
+	s, n, cl := newTestNet(t, 3)
 	const cells = 8000
 	injectAll(s, n, cells)
 	// Kill two links mid-traffic: one FA-FE1 link and one FE1-FE2 link.
 	var faLink, feLink = -1, -1
-	for i, lk := range n.Topo.Links {
+	for i, lk := range cl.Links {
 		if lk.A.Kind == topo.KindFA && faLink < 0 {
 			faLink = i
 		}
@@ -190,7 +190,7 @@ func TestFabricFailureBalanceAndRecovery(t *testing.T) {
 }
 
 func TestFabricRestoreLink(t *testing.T) {
-	s, n := newTestNet(t, 5)
+	s, n, _ := newTestNet(t, 5)
 	n.FailLink(0)
 	n.FailLink(1)
 	s.Run()
@@ -210,8 +210,8 @@ func TestFabricRestoreLink(t *testing.T) {
 // Isolating an FA (all uplinks down) must surface in the reachability
 // cross-check and drop its traffic through counted paths, not hang.
 func TestFabricIsolatedFA(t *testing.T) {
-	s, n := newTestNet(t, 9)
-	for i, lk := range n.Topo.Links {
+	s, n, cl := newTestNet(t, 9)
+	for i, lk := range cl.Links {
 		if lk.A.Kind == topo.KindFA && lk.A.Index == 0 {
 			n.FailLink(i)
 		}
@@ -241,7 +241,7 @@ func TestFabricAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are meaningless")
 	}
-	s, n := newTestNet(t, 11)
+	s, n, _ := newTestNet(t, 11)
 	// Warm the pools and rings.
 	injectAll(s, n, 2000)
 	s.Run()
@@ -264,10 +264,10 @@ func TestFabricAllocFree(t *testing.T) {
 // at delivery time, so a stale message can never overwrite newer truth
 // at the spine (the §5.8 propagation protocol under interleaving).
 func TestWithdrawalInterleavingCoalesces(t *testing.T) {
-	s, n := newTestNet(t, 13)
+	s, n, cl := newTestNet(t, 13)
 	// Two FA links landing on the same FE1.
 	var lks []int
-	for i, lk := range n.Topo.Links {
+	for i, lk := range cl.Links {
 		if lk.A.Kind == topo.KindFA && lk.B.Kind == topo.KindFE1 && lk.B.Index == 0 {
 			lks = append(lks, i)
 		}
@@ -276,7 +276,7 @@ func TestWithdrawalInterleavingCoalesces(t *testing.T) {
 		t.Fatalf("FE1-0 serves %d FA links", len(lks))
 	}
 	lk1, lk2 := lks[0], lks[1]
-	full := n.Topo.FE1Down // FAs one FE1 advertises when healthy
+	full := cl.FE1Down // FAs one FE1 advertises when healthy
 
 	type upd struct {
 		at        sim.Time
@@ -332,7 +332,7 @@ func TestWithdrawalInterleavingCoalesces(t *testing.T) {
 // Failing the same link twice must not double-fire hooks or withdrawals,
 // and restore of a never-failed link is a no-op.
 func TestLinkStateIdempotent(t *testing.T) {
-	s, n := newTestNet(t, 17)
+	s, n, _ := newTestNet(t, 17)
 	var transitions int
 	n.OnLinkState = func(int, bool) { transitions++ }
 	n.FailLink(0)

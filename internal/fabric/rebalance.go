@@ -1,31 +1,32 @@
-// Adaptive shard rebalancing: migrate Fabric Adapters (with everything
+// Adaptive shard rebalancing: migrate edge devices (with everything
 // pinned to them — egress endpoints, host transports layered above, their
 // pending events) between parsim shards at window barriers, steered by
-// deterministic per-group executed-event counts.
+// deterministic per-group executed-event counts. It works on every graph.
 //
-// The contiguous blocks of AssignShards are the right cut for uniform
-// traffic, but a hotspot (incast toward one FA, a few hot sources) piles
-// several busy adapters onto one shard while others idle. Rebalancing
-// meters how many events each FA's device group executed per window —
-// simulated state, never wall-clock, so the measurement is identical at
-// every shard count and on every machine — and when the heaviest shard
-// exceeds the lightest by a configured ratio, moves the hottest movable
-// group over, greedily and deterministically.
+// The default contiguous blocks are the right cut for uniform traffic,
+// but a hotspot (incast toward one edge, a few hot sources) piles several
+// busy devices onto one shard while others idle. Rebalancing meters how
+// many events each edge device's group executed per window — simulated
+// state, never wall-clock, so the measurement is identical at every shard
+// count and on every machine — and when the heaviest shard exceeds the
+// lightest by a configured ratio, moves the hottest movable group over,
+// greedily and deterministically.
 //
-// Migration preserves byte-determinism by construction. An FA's group is
-// the closure of state only its own events touch: the adapter, its uplink
-// serialization queues, its egress endpoint, and (via fabric.Net.OnMigrateFA)
-// the transport state of the hosts behind it. All of the group's pending
-// events are tagged — lane-keyed deliveries through the kernel's lane-group
-// table, causal work by group inheritance — so sim.ExtractGroup can lift
-// them out of the old shard's event store in (time, lane, seq) order and
-// sim.InjectOrdered can replay them into the new shard's with their
-// relative order intact. Events of different groups at the same instant on
-// the default lane may interleave differently after a move, but such
-// events touch disjoint state and emit only lane-keyed messages (the same
-// commutativity argument that makes shard-count independence hold), so
-// every observable outcome is unchanged. FEs are the fabric's shared core
-// and never move (group 0).
+// Migration preserves byte-determinism by construction. An edge device's
+// group is the closure of state only its own events touch: the device,
+// its outbound serialization queues, its egress endpoint, and (via
+// OnMigrateFA) the transport state of the hosts behind it. All of the
+// group's pending events are tagged — lane-keyed deliveries through the
+// kernel's lane-group table, causal work by group inheritance — so
+// sim.ExtractGroup can lift them out of the old shard's event store in
+// (time, lane, seq) order and sim.InjectOrdered can replay them into the
+// new shard's with their relative order intact. Events of different
+// groups at the same instant on the default lane may interleave
+// differently after a move, but such events touch disjoint state and emit
+// only lane-keyed messages (the same commutativity argument that makes
+// shard-count independence hold), so every observable outcome is
+// unchanged. Transit devices (the FEs of a Clos, the switches of a
+// star-replaced graph) never move (group 0).
 package fabric
 
 import (
@@ -33,12 +34,11 @@ import (
 
 	"stardust/internal/netsim"
 	"stardust/internal/sim"
-	"stardust/internal/topo"
 )
 
-// GroupOfFA returns the kernel event-group id of Fabric Adapter fa's
-// device group (FA fa, its egress, and any transport state pinned to it).
-// Group 0 is the immovable remainder (FEs, links owned by FEs).
+// GroupOfFA returns the kernel event-group id of edge device fa's group
+// (the device, its egress, and any transport state pinned to it). Group 0
+// is the immovable remainder (transit devices, control-plane flows).
 func (n *Net) GroupOfFA(fa int) int32 { return int32(fa) + 1 }
 
 // LaneGroups returns the lane→group table installed on every shard's
@@ -47,10 +47,10 @@ func (n *Net) GroupOfFA(fa int) int32 { return int32(fa) + 1 }
 // and re-installs it (sim.SetLaneGroups) on every shard.
 func (n *Net) LaneGroups() []int32 { return n.laneGroups }
 
-// OnMigrateFA registers fn to run whenever MigrateFA moves an adapter,
+// OnMigrateFA registers fn to run whenever MigrateFA moves an edge device,
 // after the fabric's own state is re-pinned but within the same barrier.
 // A transport layered on the fabric uses this to move the hosts behind
-// the adapter along with it.
+// the device along with it.
 func (n *Net) OnMigrateFA(fn func(fa, from, to int)) {
 	n.migrateHooks = append(n.migrateHooks, fn)
 }
@@ -58,11 +58,11 @@ func (n *Net) OnMigrateFA(fn func(fa, from, to int)) {
 // Migrations counts completed MigrateFA moves (telemetry; barrier context).
 func (n *Net) Migrations() uint64 { return n.migrations }
 
-// MigrateFA moves Fabric Adapter fa's device group to shard `to`: its
-// pending events (fabric and any registered transport's alike — they share
-// the group id) are lifted from the old shard's event store and replayed
-// into the new one in order, and every queue, propagation hop and counter
-// home of the group is re-pinned. Barrier context only, sharded mode only.
+// MigrateFA moves edge device fa's group to shard `to`: its pending events
+// (fabric and any registered transport's alike — they share the group id)
+// are lifted from the old shard's event store and replayed into the new
+// one in order, and every queue, propagation hop and counter home of the
+// group is re-pinned. Barrier context only, sharded mode only.
 func (n *Net) MigrateFA(fa, to int) error {
 	if n.eng == nil {
 		return fmt.Errorf("fabric: MigrateFA needs a sharded fabric")
@@ -71,7 +71,8 @@ func (n *Net) MigrateFA(fa, to int) error {
 	if to < 0 || to >= n.eng.Shards() {
 		return fmt.Errorf("fabric: shard %d out of range [0,%d)", to, n.eng.Shards())
 	}
-	from := n.assign.FA[fa]
+	d := n.edges[fa]
+	from := d.sh.id
 	if from == to {
 		return nil
 	}
@@ -80,30 +81,33 @@ func (n *Net) MigrateFA(fa, to int) error {
 	evs := n.shards[from].sm.ExtractGroup(n.GroupOfFA(fa))
 	n.shards[to].sm.InjectOrdered(evs)
 
-	n.assign.FA[fa] = to
-	sh := n.shards[to]
-	n.fas[fa].sh = sh
-	n.egress[fa].sh = sh
-	// Re-pin the adapter's links: uplink queues serialize on the FA's
-	// shard and their propagation hops re-source from it; down links
-	// deliver onto it, so their propagation hops re-target it.
-	for li, lk := range n.Topo.Links {
-		if lk.A.Kind != topo.KindFA || lk.A.Index != fa {
-			continue
+	n.nodeShard[d.id] = to
+	d.sh = n.shards[to]
+	n.egress[fa].sh = d.sh
+	// Re-pin the device's links: outbound queues serialize on its shard
+	// and their propagation hops re-source from it; inbound links deliver
+	// onto it, so their propagation hops re-target it.
+	for i, lk := range n.wiring {
+		if lk.A == d.id || lk.B == d.id {
+			n.repin(2*i, lk.A, lk.B)
+			n.repin(2*i+1, lk.B, lk.A)
 		}
-		fe := n.fe1[lk.B.Index]
-		up, dn := n.links[2*li], n.links[2*li+1]
-		up.q.Sim = sh.sm
-		up.route[1].(*netsim.LanePipe).Sched = n.eng.Shard(to).To(fe.sh.id)
-		dn.sh = sh
-		dn.route[1].(*netsim.LanePipe).Sched = n.eng.Shard(fe.sh.id).To(to)
 	}
-	n.hairpin[fa][0].(*netsim.LanePipe).Sched = sh.sm
+	n.hairpin[fa][0].(*netsim.LanePipe).Sched = d.sh.sm
 	n.migrations++
 	for _, fn := range n.migrateHooks {
 		fn(fa, from, to)
 	}
 	return nil
+}
+
+// repin binds directed link dir (device from -> device to) to its
+// endpoints' current shards.
+func (n *Net) repin(dir, from, to int) {
+	l, fs, ts := n.links[dir], n.nodeShard[from], n.nodeShard[to]
+	l.q.Sim = n.shards[fs].sm
+	l.sh = n.shards[ts]
+	l.route[1].(*netsim.LanePipe).Sched = n.eng.Shard(fs).To(ts)
 }
 
 // RebalanceConfig tunes the adaptive planner.
@@ -141,7 +145,7 @@ func (n *Net) EnableRebalancing(cfg RebalanceConfig) error {
 	if cfg.Interval < 1 || cfg.Ratio <= 1 || cfg.MaxMoves < 1 {
 		return fmt.Errorf("fabric: bad rebalance config %+v", cfg)
 	}
-	numG := n.Topo.NumFA + 1
+	numG := len(n.edges) + 1
 	lastGroup := make([]uint64, numG) // per group, summed across shards
 	lastProc := make([]uint64, n.eng.Shards())
 	windows := 0
@@ -181,10 +185,10 @@ func (n *Net) EnableRebalancing(cfg RebalanceConfig) error {
 				return
 			}
 			// Hottest group on the heavy shard whose move strictly improves
-			// the pair; first (lowest FA) wins ties.
+			// the pair; first (lowest edge index) wins ties.
 			best := -1
-			for fa := 0; fa < n.Topo.NumFA; fa++ {
-				if n.assign.FA[fa] != heavy {
+			for fa, dev := range n.edges {
+				if dev.sh.id != heavy {
 					continue
 				}
 				d := groupDelta[fa+1]
@@ -206,15 +210,4 @@ func (n *Net) EnableRebalancing(cfg RebalanceConfig) error {
 		}
 	})
 	return nil
-}
-
-// ShardEvents returns the cumulative executed-event count of every shard's
-// event loop — the imbalance evidence the parscale scenario reports.
-// Barrier context only.
-func (n *Net) ShardEvents() []uint64 {
-	out := make([]uint64, len(n.shards))
-	for i, sh := range n.shards {
-		out[i] = sh.sm.Processed
-	}
-	return out
 }

@@ -35,7 +35,7 @@ type hotInjector struct {
 }
 
 func (j *hotInjector) start(at sim.Time) {
-	sm := j.net.shards[j.net.assign.FA[j.fa]].sm
+	sm := j.net.edgeSim(j.fa)
 	prev := sm.Group()
 	sm.SetGroup(j.net.GroupOfFA(j.fa))
 	sm.AtAction(at, j, 0)
@@ -44,7 +44,7 @@ func (j *hotInjector) start(at sim.Time) {
 
 // Act implements sim.Action: inject one uniquely-tagged cell, reschedule.
 func (j *hotInjector) Act(uint64) {
-	sm := j.net.shards[j.net.assign.FA[j.fa]].sm
+	sm := j.net.edgeSim(j.fa)
 	if sm.Now() >= j.stop {
 		return
 	}

@@ -8,14 +8,14 @@ import (
 // Injector paces synthetic cells out of one edge device toward rotating
 // destinations — the shared traffic source of the parscale/parheal
 // scenarios, the managed FabricRun, and the sharded cell-path benchmark.
-// It works over any Fabric. Everything it does is a function of
+// It works over any graph. Everything it does is a function of
 // (edge, instant) alone: it lives on its device's shard and keeps its
 // own rotation counter, so the offered traffic is identical at every
 // shard count. The shard is resolved per event rather than cached, so
-// the injector follows its FA through adaptive rebalancing migrations
-// on a Clos fabric.
+// the injector follows its device through adaptive rebalancing
+// migrations.
 type Injector struct {
-	net   Fabric
+	net   *Net
 	fa    int
 	numFA int
 	gap   sim.Time
@@ -29,13 +29,13 @@ type Injector struct {
 	until sim.Time
 }
 
-// NewInjector builds an injector for FA fa pacing one cell of cellBytes
+// NewInjector builds an injector for edge device fa pacing one cell of cellBytes
 // every gap. Injection ends at time stop (0 = unbounded) or after quota
 // cells (< 0 = unbounded), whichever comes first. Call Start to schedule
 // the first cell.
 func (n *Net) NewInjector(fa int, gap sim.Time, cellBytes int, stop sim.Time, quota int) *Injector {
 	return &Injector{
-		net: n, fa: fa, numFA: n.Topo.NumFA,
+		net: n, fa: fa, numFA: len(n.edges),
 		gap: gap, cell: cellBytes, stop: stop, quota: quota, dst: -1,
 	}
 }
@@ -50,19 +50,15 @@ func (j *Injector) Boost(gap, until sim.Time) { j.boost, j.until = gap, until }
 func (j *Injector) FixDst(dst int) { j.dst = dst }
 
 // Start schedules the first injection at absolute time at — stagger
-// starts across FAs so they do not inject in lockstep. In sharded mode
-// the event is tagged with the FA's migration group, so the pacing chain
-// follows the FA when rebalancing moves it.
+// starts across devices so they do not inject in lockstep. The event is
+// tagged with the device's migration group, so the pacing chain follows
+// it when rebalancing moves it.
 func (j *Injector) Start(at sim.Time) {
-	sm := j.net.EdgeSim(j.fa)
-	if j.net.Sharded() {
-		prev := sm.Group()
-		sm.SetGroup(j.net.GroupOfFA(j.fa))
-		sm.AtAction(at, j, 0)
-		sm.SetGroup(prev)
-		return
-	}
+	sm := j.net.edgeSim(j.fa)
+	prev := sm.Group()
+	sm.SetGroup(j.net.GroupOfFA(j.fa))
 	sm.AtAction(at, j, 0)
+	sm.SetGroup(prev)
 }
 
 // Sent returns the number of cells injected so far.
@@ -70,7 +66,7 @@ func (j *Injector) Sent() uint64 { return j.sent }
 
 // Act implements sim.Action: inject one cell and reschedule.
 func (j *Injector) Act(uint64) {
-	sm := j.net.EdgeSim(j.fa)
+	sm := j.net.edgeSim(j.fa)
 	if j.stop != 0 && sm.Now() >= j.stop {
 		return
 	}

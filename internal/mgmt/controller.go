@@ -97,7 +97,7 @@ type LinkTelemetry struct {
 // anomaly detection. Attach it before running the simulation.
 type Controller struct {
 	cfg Config
-	fab fabric.Fabric
+	fab *fabric.Net
 	sim *sim.Simulator
 	inv *Inventory
 	bus *Bus
@@ -125,7 +125,7 @@ type Controller struct {
 // ordinary simulator event on one shard and would read every other
 // shard's live queue counters mid-window — a data race the race detector
 // duly reports. The panic makes the misuse impossible rather than latent.
-func Attach(fab fabric.Fabric, cfg Config) *Controller {
+func Attach(fab *fabric.Net, cfg Config) *Controller {
 	if fab.Sharded() {
 		panic("mgmt: sharded fabric telemetry must go through the shard barrier; use AttachSharded")
 	}
@@ -140,7 +140,7 @@ func Attach(fab fabric.Fabric, cfg Config) *Controller {
 // and fabric counters cannot race the simulation, and the scrape times
 // (window boundaries) are identical for every shard count, keeping the
 // management plane's view consistent across shards.
-func AttachSharded(fab fabric.Fabric, cfg Config) *Controller {
+func AttachSharded(fab *fabric.Net, cfg Config) *Controller {
 	eng := fab.Engine()
 	if eng == nil {
 		panic("mgmt: AttachSharded needs a fabric built on a parsim engine")
@@ -156,13 +156,13 @@ func AttachSharded(fab fabric.Fabric, cfg Config) *Controller {
 	return c
 }
 
-func newController(fab fabric.Fabric, cfg Config) *Controller {
+func newController(fab *fabric.Net, cfg Config) *Controller {
 	cfg = cfg.withDefaults()
-	g := fab.Graph()
+	g := fab.Graph
 	c := &Controller{
 		cfg:       cfg,
 		fab:       fab,
-		sim:       fab.Simulator(),
+		sim:       fab.Sim,
 		inv:       NewInventory(g),
 		bus:       NewBus(cfg.EventLog),
 		anomalies: make(map[string]Anomaly),
@@ -200,20 +200,20 @@ func newController(fab fabric.Fabric, cfg Config) *Controller {
 		}
 	}
 
-	prevLink := fab.HookOnLinkState()
-	fab.SetOnLinkState(func(link int, up bool) {
+	prevLink := fab.OnLinkState
+	fab.OnLinkState = func(link int, up bool) {
 		if prevLink != nil {
 			prevLink(link, up)
 		}
 		c.onLinkState(link, up)
-	})
-	prevReach := fab.HookOnReachUpdate()
-	fab.SetOnReachUpdate(func(dev, reachable int) {
+	}
+	prevReach := fab.OnReachUpdate
+	fab.OnReachUpdate = func(dev, reachable int) {
 		if prevReach != nil {
 			prevReach(dev, reachable)
 		}
 		c.onReachUpdate(dev, reachable)
-	})
+	}
 	return c
 }
 

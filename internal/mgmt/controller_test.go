@@ -12,7 +12,7 @@ import (
 
 // newManagedFabric builds a K=4 fabric with an attached controller and a
 // steady background load.
-func newManagedFabric(t *testing.T, cfg Config) (*sim.Simulator, *fabric.Net, *Controller) {
+func newManagedFabric(t *testing.T, cfg Config) (*sim.Simulator, *fabric.Net, *topo.Clos, *Controller) {
 	t.Helper()
 	cl, err := fabric.ClosFor(4)
 	if err != nil {
@@ -36,11 +36,11 @@ func newManagedFabric(t *testing.T, cfg Config) (*sim.Simulator, *fabric.Net, *C
 		}
 		s.At(0, inject)
 	}
-	return s, fab, ctl
+	return s, fab, cl, ctl
 }
 
 func TestControllerScrapesTelemetry(t *testing.T) {
-	s, fab, ctl := newManagedFabric(t, Config{ScrapeEvery: 100 * sim.Microsecond})
+	s, fab, _, ctl := newManagedFabric(t, Config{ScrapeEvery: 100 * sim.Microsecond})
 	s.RunUntil(sim.Millisecond)
 	st := ctl.Stats()
 	if st.Scrapes < 9 {
@@ -81,10 +81,10 @@ func TestControllerScrapesTelemetry(t *testing.T) {
 }
 
 func TestControllerEventsOnFailureAndRecovery(t *testing.T) {
-	s, fab, ctl := newManagedFabric(t, Config{ScrapeEvery: 100 * sim.Microsecond})
+	s, fab, cl, ctl := newManagedFabric(t, Config{ScrapeEvery: 100 * sim.Microsecond})
 	// Fail an FA-FE1 link mid-run, restore it later.
 	victim := -1
-	for i, lk := range fab.Topo.Links {
+	for i, lk := range cl.Links {
 		if lk.A.Kind == topo.KindFA {
 			victim = i
 			break
@@ -140,10 +140,10 @@ func TestControllerEventsOnFailureAndRecovery(t *testing.T) {
 }
 
 func TestControllerReachabilityHoleAnomaly(t *testing.T) {
-	s, fab, ctl := newManagedFabric(t, Config{ScrapeEvery: 100 * sim.Microsecond})
+	s, fab, cl, ctl := newManagedFabric(t, Config{ScrapeEvery: 100 * sim.Microsecond})
 	// Isolate FA0: every uplink down -> a reachability hole the §5.9
 	// self-healing cannot repair.
-	for i, lk := range fab.Topo.Links {
+	for i, lk := range cl.Links {
 		if lk.A.Kind == topo.KindFA && lk.A.Index == 0 {
 			s.At(200*sim.Microsecond, func() { fab.FailLink(i) })
 		}
@@ -171,7 +171,7 @@ func TestControllerReachabilityHoleAnomaly(t *testing.T) {
 	}
 
 	// Healing the links clears the anomaly (and publishes the clear).
-	for i, lk := range fab.Topo.Links {
+	for i, lk := range cl.Links {
 		if lk.A.Kind == topo.KindFA && lk.A.Index == 0 {
 			fab.RestoreLink(i)
 		}
@@ -198,7 +198,7 @@ func TestControllerReachabilityHoleAnomaly(t *testing.T) {
 // spreader cannot be coaxed into imbalance from outside, so the detector
 // is tested white-box).
 func TestSprayImbalanceDetector(t *testing.T) {
-	_, fab, ctl := newManagedFabric(t, Config{
+	_, fab, _, ctl := newManagedFabric(t, Config{
 		ScrapeEvery: 100 * sim.Microsecond, SprayThreshold: 0.25, MinSprayBytes: 1000,
 	})
 	_ = fab
@@ -243,7 +243,7 @@ func TestSprayImbalanceDetector(t *testing.T) {
 // A healthy balanced fabric must not raise spray-imbalance findings under
 // its normal load — the detector's false-positive guard.
 func TestNoSprayImbalanceOnHealthyFabric(t *testing.T) {
-	s, _, ctl := newManagedFabric(t, Config{ScrapeEvery: 100 * sim.Microsecond})
+	s, _, _, ctl := newManagedFabric(t, Config{ScrapeEvery: 100 * sim.Microsecond})
 	s.RunUntil(2 * sim.Millisecond)
 	for _, a := range ctl.Anomalies() {
 		if a.Kind == AnomalySprayImbalance {

@@ -15,7 +15,7 @@ import (
 // ordered times, a withdrawal exactly ReachDelay after every FA-link
 // state change, and link accounting that matches the final fabric state.
 func TestConcurrentFailureRecoveryEventOrdering(t *testing.T) {
-	s, fab, ctl := newManagedFabric(t, Config{ScrapeEvery: 200 * sim.Microsecond})
+	s, fab, cl, ctl := newManagedFabric(t, Config{ScrapeEvery: 200 * sim.Microsecond})
 	rng := rand.New(rand.NewSource(23))
 
 	// Schedule 12 random failures, each healing after a random delay that
@@ -93,7 +93,7 @@ func TestConcurrentFailureRecoveryEventOrdering(t *testing.T) {
 	for _, e := range evs {
 		switch e.Kind {
 		case EventLinkDown, EventLinkUp:
-			if fab.Topo.Links[e.Link].A.Kind == topo.KindFA {
+			if cl.Links[e.Link].A.Kind == topo.KindFA {
 				faChanges++
 				pending[e.Time+fab.Cfg.ReachDelay]++
 			}

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"sync"
 
-	"stardust/internal/fabric"
 	"stardust/internal/netsim"
 	"stardust/internal/sim"
 	"stardust/internal/tcp"
+	"stardust/internal/topo"
 	"stardust/internal/workload"
 )
 
@@ -84,14 +84,13 @@ func (r *FabricRun) buildTransport(hostsPer int) error {
 	// The overlay rides the Clos fabric: its credit scheduler is sized by
 	// the uniform per-FA uplink count, and NewFabricRun rejects other
 	// topologies before building it.
-	fab, ok := r.Fab.(*fabric.Net)
+	cl, ok := r.Fab.Graph.(*topo.Clos)
 	if !ok {
-		return fmt.Errorf("mgmt: the transport overlay runs on the clos fabric only (topology %s)", r.Fab.Graph().Spec())
+		return fmt.Errorf("mgmt: the transport overlay runs on the clos fabric only (topology %s)", r.Fab.Graph.Spec())
 	}
-	cl := fab.Topo
 	hosts := cl.NumFA * hostsPer
-	sdc := netsim.DefaultStardust(netsim.Bps(10e9), cl.FAUplinks, fab.Cfg.LinkDelay)
-	net, err := netsim.NewShardedStardustNet(fab, sdc, hosts, hostsPer)
+	sdc := netsim.DefaultStardust(netsim.Bps(10e9), cl.FAUplinks, r.Fab.Cfg.LinkDelay)
+	net, err := netsim.NewShardedStardustNet(r.Fab, sdc, hosts, hostsPer)
 	if err != nil {
 		return err
 	}

@@ -9,6 +9,7 @@ package reach
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 )
 
@@ -43,6 +44,22 @@ func (b Bitmap) Count() int {
 		}
 	}
 	return n
+}
+
+// Nth returns the index of the k-th set bit, counting from zero in
+// ascending order, or -1 when fewer than k+1 bits are set.
+func (b Bitmap) Nth(k int) int {
+	for i, w := range b {
+		if c := bits.OnesCount64(w); k >= c {
+			k -= c
+			continue
+		}
+		for ; k > 0; k-- {
+			w &= w - 1
+		}
+		return i*64 + bits.TrailingZeros64(w)
+	}
+	return -1
 }
 
 // Reset clears all bits.

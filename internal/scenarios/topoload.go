@@ -2,9 +2,9 @@ package scenarios
 
 // Topology-pluggable scenarios: the workloads of the evaluation run on
 // any topo.Graph — the paper's Clos, the Space Shuffle ring-space graph,
-// or the star-replaced server-centric graph — through the same fabric
-// interface. fabric/graphload records the spray-vs-ECMP per-uplink
-// spread comparison on the non-Clos graphs; fabric/collective drives
+// or the star-replaced server-centric graph — on the same fabric.
+// fabric/graphload records the spray-vs-ECMP per-uplink spread
+// comparison on any of them (the non-Clos graphs by default); fabric/collective drives
 // phase-synchronized ring/tree all-reduce collectives; fabric/openloop
 // offers diurnal bursty storage traffic. Each is a deterministic
 // function of (seed, parameters): one solo event heap per instance, so
@@ -26,25 +26,35 @@ import (
 
 // buildGraphFabric assembles the solo fabric for one topology-pluggable
 // scenario instance: resolved topology, simulator, default 10G config.
-func buildGraphFabric(c engine.Context, k int) (topo.Graph, *sim.Simulator, fabric.Fabric, error) {
+func buildGraphFabric(c engine.Context, k int) (topo.Graph, *sim.Simulator, *fabric.Net, error) {
 	g, err := topo.ByName(effectiveTopo(c), k)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	s := sim.New()
 	fcfg := fabric.DefaultConfig(netsim.Bps(10e9), sim.Microsecond, c.Seed)
-	fab, err := fabric.NewFabric(s, fcfg, g)
+	fab, err := fabric.New(s, fcfg, g)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	return g, s, fab, nil
 }
 
+// cellPacing reads the raw-cell parameters shared by the collective and
+// open-loop scenarios: a cell of at least one byte and a positive load.
+func cellPacing(c engine.Context) (cell int, load float64, err error) {
+	cell, load = c.Params.Int("cell", 512), c.Params.Float("load", 1)
+	if cell < 1 || !(load > 0) {
+		return 0, 0, fmt.Errorf("need cell >= 1 and load > 0 (cell=%d load=%g)", cell, load)
+	}
+	return cell, load, nil
+}
+
 // runUntilAccounted advances the solo simulator in fixed quanta until
 // every injected cell has a recorded fate (delivered or dropped) and at
 // least want cells went in, or the deadline passes. The quantized stop
 // instant is deterministic because the counters are.
-func runUntilAccounted(s *sim.Simulator, fab fabric.Fabric, want uint64, deadline sim.Time) {
+func runUntilAccounted(s *sim.Simulator, fab *fabric.Net, want uint64, deadline sim.Time) {
 	const quantum = sim.Microsecond
 	for s.Now() < deadline {
 		if fab.Injected() >= want && fab.Delivered()+fab.Drops() >= fab.Injected() {
@@ -72,13 +82,13 @@ func cellGap(g topo.Graph, fa, cellBytes int, rate netsim.Bps, load float64) sim
 func init() {
 	engine.Register(engine.Scenario{
 		Name: "fabric/graphload",
-		Desc: "spray vs ECMP per-uplink byte spread on pluggable topologies (Space Shuffle, star-replaced) — §5.3 carried beyond the Clos",
+		Desc: "spray vs ECMP per-uplink byte spread on any topology (Clos, Space Shuffle, star-replaced) — §5.3 on the paper's graph and beyond",
 		Defaults: engine.Params{
 			"topo": "sshuffle,star", "mode": "spray,ecmp", "k": "8",
 			"load": "0.6", "warm_us": "100", "dur_us": "400",
 		},
 		Docs: map[string]string{
-			"topo":    "topology families sized by k (comma list sweeps); clos is spray-only (use fabric/linkload for the fat-tree ECMP contender)",
+			"topo":    "topology families sized by k (comma list sweeps): clos, sshuffle or star",
 			"mode":    "routing mode: spray (per-cell round robin) or ecmp (per-flow hash-pinned path); comma list sweeps",
 			"k":       "sizing parameter handed to topo.ByName (edge devices = k*k/2)",
 			"load":    "offered load per edge device as a fraction of its uplink capacity",
@@ -142,8 +152,10 @@ func init() {
 		},
 		Run: func(c engine.Context) (engine.Result, error) {
 			k := c.Params.Int("k", 4)
-			cell := c.Params.Int("cell", 512)
-			load := c.Params.Float("load", 1)
+			cell, load, err := cellPacing(c)
+			if err != nil {
+				return engine.Result{}, fmt.Errorf("collective: %w", err)
+			}
 			bytes := int64(c.Params.Int("kb", 64)) * 1024
 			g, s, fab, err := buildGraphFabric(c, k)
 			if err != nil {
@@ -229,8 +241,10 @@ func init() {
 		},
 		Run: func(c engine.Context) (engine.Result, error) {
 			k := c.Params.Int("k", 4)
-			cell := c.Params.Int("cell", 512)
-			load := c.Params.Float("load", 1)
+			cell, load, err := cellPacing(c)
+			if err != nil {
+				return engine.Result{}, fmt.Errorf("openloop: %w", err)
+			}
 			capB := int64(c.Params.Int("cap_kb", 64)) * 1024
 			dur := usTime(c.Params.Int("dur_us", 2000))
 			g, s, fab, err := buildGraphFabric(c, k)

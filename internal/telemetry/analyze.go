@@ -367,7 +367,7 @@ func (a *SprayImbalance) Window(v *WindowView) []Finding {
 }
 
 func (a *SprayImbalance) Finish() []Finding {
-	if a.worstFA < 0 {
+	if a.worst == nil || a.worstFA < 0 { // no window, or none with enough traffic
 		return nil
 	}
 	return []Finding{{

@@ -83,7 +83,7 @@ func TestEmitterEventSemantics(t *testing.T) {
 }
 
 // liveFabric builds a small loaded fabric for recorder tests.
-func liveFabric(t *testing.T) (*sim.Simulator, *fabric.Net) {
+func liveFabric(t *testing.T) (*sim.Simulator, *fabric.Net, *topo.Clos) {
 	t.Helper()
 	cl, err := fabric.ClosFor(4)
 	if err != nil {
@@ -105,14 +105,14 @@ func liveFabric(t *testing.T) (*sim.Simulator, *fabric.Net) {
 		}
 		s.At(0, inject)
 	}
-	return s, fab
+	return s, fab, cl
 }
 
 // TestRecorderOnSoloSim drives the unsharded path end to end: AttachSim
 // scrapes on period, the stream decodes, counters are monotonic, online
 // analyzers feed the finding log, and stats reflect all of it.
 func TestRecorderOnSoloSim(t *testing.T) {
-	s, fab := liveFabric(t)
+	s, fab, cl := liveFabric(t)
 	hdr := StreamHeader{Dirs: 2 * fab.NumLinks(), FAs: 0, K: 4, ScrapePs: 100 * sim.Microsecond}
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, hdr)
@@ -120,13 +120,13 @@ func TestRecorderOnSoloSim(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := NewRecorder(w, fab, nil, 100*sim.Microsecond)
-	log := rec.Observe(MetaFor(fab.Topo), DefaultAnalyzers()...)
+	log := rec.Observe(MetaFor(cl), DefaultAnalyzers()...)
 	rec.AttachSim(s)
 
 	// Isolate FA0 mid-run: a reachability hole the online analyzers must
 	// flag, and down events the stream must carry.
 	var failed []int
-	for i, lk := range fab.Topo.Links {
+	for i, lk := range cl.Links {
 		if lk.A.Kind == topo.KindFA && lk.A.Index == 0 {
 			failed = append(failed, i)
 		}
@@ -184,7 +184,7 @@ func TestRecorderOnSoloSim(t *testing.T) {
 // at the first failed write, surfaces in Stats, and further captures are
 // no-ops instead of corrupting the tail.
 func TestRecorderLatchesWriteError(t *testing.T) {
-	s, fab := liveFabric(t)
+	s, fab, _ := liveFabric(t)
 	sink := NewBuffer(512) // fits the header, not the windows
 	w, err := NewWriter(sink, StreamHeader{Dirs: 2 * fab.NumLinks(), FAs: 0, ScrapePs: 50 * sim.Microsecond})
 	if err != nil {
