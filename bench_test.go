@@ -56,47 +56,20 @@ func BenchmarkPacketPath(b *testing.B) {
 }
 
 // BenchmarkFabricCellPath measures the per-cell cost of the
-// topology-faithful fabric: source-FA spray, FE1 up/down decision, spine
-// spray, egress delivery — four per-link queue+pipe hops per cell. It
+// topology-faithful fabric on a one-shard engine: source-FA spray, FE1
+// up/down decision, spine spray, egress delivery — four per-link
+// queue+pipe hops per cell — plus the engine's window barriers. It
 // doubles as the cell-accounting leak check: every injected cell must
 // leave through a counted path (delivered or dropped), or the packet pool
 // is leaking.
 func BenchmarkFabricCellPath(b *testing.B) {
-	s := sim.New()
 	cl, err := fabric.ClosFor(4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	n, err := fabric.New(s, fabric.DefaultConfig(100e9, sim.Microsecond, 1), cl)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cellSz := 512
-	// Pace injection at half of one FA's aggregate uplink rate, spread
-	// over all 8 FAs, so no queue ever overflows.
-	gap := sim.Time(float64(cellSz*8) / 100e9 * float64(sim.Second))
-	inj := &fabricInjector{n: n}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		arg := uint64(i%8)<<32 | uint64((i+3)%8)
-		s.AtAction(sim.Time(i/8)*gap, inj, arg)
-		if s.Pending() > 512 {
-			s.RunUntil(sim.Time(i/8) * gap)
-		}
-	}
-	s.Run()
-	b.StopTimer()
-	if n.Injected() != uint64(b.N) {
-		b.Fatalf("injected %d of %d", n.Injected(), b.N)
-	}
-	if n.Delivered()+n.Drops() != n.Injected() {
-		b.Fatalf("cell leak: %d delivered + %d dropped != %d injected",
-			n.Delivered(), n.Drops(), n.Injected())
-	}
-	if n.Drops() != 0 {
-		b.Fatalf("healthy fabric dropped %d cells", n.Drops())
-	}
+	// Every FA injects one 512B cell per cell-serialization time, half of
+	// its two-uplink capacity, so no queue ever overflows.
+	benchFabricCells(b, cl, 1, sim.Time(float64(512*8)/100e9*float64(sim.Second)), false)
 }
 
 // reportEventRate attaches the kernel-throughput metric benchguard gates
@@ -110,43 +83,29 @@ func reportEventRate(b *testing.B, events uint64, shards int) {
 	}
 }
 
-// fabricInjector injects one 512B cell per scheduled event (src and dst
-// packed into the action arg), keeping the benchmark loop allocation-free.
-type fabricInjector struct{ n *fabric.Net }
-
-// Act implements sim.Action.
-func (f *fabricInjector) Act(arg uint64) {
-	c := netsim.NewPacket()
-	c.Size = 512
-	f.n.Inject(c, int(arg>>32), int(uint32(arg)))
-}
-
-// BenchmarkFabricCellPathSharded measures the same per-cell fabric path
-// through the parsim conservative-lookahead engine at two shards: lane-
-// ordered link crossings, window barriers and cross-shard mailboxes
-// included. The steady-state path must stay allocation-free just like the
-// solo engine's (the window machinery amortizes to zero); benchguard
-// gates both the allocs/op and median ns/op of this benchmark.
-func BenchmarkFabricCellPathSharded(b *testing.B) {
-	eng := parsim.New(parsim.Config{Shards: 2, Lookahead: sim.Microsecond})
-	cl, err := fabric.ClosFor(4)
+// benchFabricCells runs b.N 512B cells through a fabric over g on an
+// engine of the given shard count: every edge device paces its share one
+// cell per gap toward rotating destinations, starting together or, with
+// stagger, spread over one gap. The steady-state path must stay
+// allocation-free (the window machinery amortizes to zero); benchguard
+// gates the allocs/op.
+func benchFabricCells(b *testing.B, g topo.Graph, shards int, gap sim.Time, stagger bool) {
+	eng := parsim.New(parsim.Config{Shards: shards, Lookahead: sim.Microsecond})
+	n, err := fabric.New(eng, fabric.DefaultConfig(100e9, sim.Microsecond, 1), g, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	n, err := fabric.NewSharded(eng, fabric.DefaultConfig(100e9, sim.Microsecond, 1), cl, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Same pacing as the solo benchmark: every FA injects one 512B cell
-	// per cell-serialization time, half of its two-uplink capacity.
-	const numFA = 8
-	gap := sim.Time(float64(512*8) / 100e9 * float64(sim.Second))
+	numFA := g.NumEdge()
 	for fa := 0; fa < numFA; fa++ {
 		quota := b.N / numFA
 		if fa < b.N%numFA {
 			quota++
 		}
-		n.NewInjector(fa, gap, 512, 0, quota).Start(0)
+		var start sim.Time
+		if stagger {
+			start = sim.Time(fa) * gap / sim.Time(numFA)
+		}
+		n.NewInjector(fa, gap, 512, 0, quota).Start(start)
 	}
 	deadline := sim.Time(b.N/numFA+2)*gap + sim.Millisecond
 	b.ReportAllocs()
@@ -154,7 +113,7 @@ func BenchmarkFabricCellPathSharded(b *testing.B) {
 	b.ResetTimer()
 	eng.RunUntilQuiet(deadline)
 	b.StopTimer()
-	reportEventRate(b, eng.Processed()-ev0, 2)
+	reportEventRate(b, eng.Processed()-ev0, shards)
 	if n.Injected() != uint64(b.N) {
 		b.Fatalf("injected %d of %d", n.Injected(), b.N)
 	}
@@ -163,8 +122,20 @@ func BenchmarkFabricCellPathSharded(b *testing.B) {
 			n.Delivered(), n.Drops(), n.Injected())
 	}
 	if n.Drops() != 0 {
-		b.Fatalf("healthy sharded fabric dropped %d cells", n.Drops())
+		b.Fatalf("lightly loaded fabric dropped %d cells", n.Drops())
 	}
+}
+
+// BenchmarkFabricCellPathSharded measures the same per-cell fabric path
+// at two shards: lane-ordered link crossings, window barriers and
+// cross-shard mailboxes included. benchguard gates both the allocs/op and
+// median ns/op of this benchmark.
+func BenchmarkFabricCellPathSharded(b *testing.B) {
+	cl, err := fabric.ClosFor(4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchFabricCells(b, cl, 2, sim.Time(float64(512*8)/100e9*float64(sim.Second)), false)
 }
 
 // BenchmarkFabricCellPathSShuffle measures the per-cell cost of the
@@ -174,40 +145,14 @@ func BenchmarkFabricCellPathSharded(b *testing.B) {
 // of BenchmarkFabricCellPath. The steady-state path must stay
 // allocation-free like the Clos one; benchguard gates both numbers.
 func BenchmarkFabricCellPathSShuffle(b *testing.B) {
-	s := sim.New()
 	g, err := topo.ByName("sshuffle", 4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	n, err := fabric.New(s, fabric.DefaultConfig(100e9, sim.Microsecond, 1), g)
-	if err != nil {
-		b.Fatal(err)
-	}
 	// Rotate destinations at a conservative pace — one cell-serialization
-	// time per cell per edge device keeps every relay queue shallow.
-	numFA := g.NumEdge()
-	gap := sim.Time(float64(512*8)/100e9*float64(sim.Second)) * 4
-	for fa := 0; fa < numFA; fa++ {
-		quota := b.N / numFA
-		if fa < b.N%numFA {
-			quota++
-		}
-		n.NewInjector(fa, gap, 512, 0, quota).Start(sim.Time(fa) * gap / sim.Time(numFA))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	s.Run()
-	b.StopTimer()
-	if n.Injected() != uint64(b.N) {
-		b.Fatalf("injected %d of %d", n.Injected(), b.N)
-	}
-	if n.Delivered()+n.Drops() != n.Injected() {
-		b.Fatalf("cell leak: %d delivered + %d dropped != %d injected",
-			n.Delivered(), n.Drops(), n.Injected())
-	}
-	if n.Drops() != 0 {
-		b.Fatalf("lightly loaded graph fabric dropped %d cells", n.Drops())
-	}
+	// time per cell per edge device, times four, keeps every relay queue
+	// shallow.
+	benchFabricCells(b, g, 1, 4*sim.Time(float64(512*8)/100e9*float64(sim.Second)), true)
 }
 
 // BenchmarkTransportPathSharded measures the per-packet cost of the full
@@ -223,7 +168,7 @@ func BenchmarkTransportPathSharded(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fab, err := fabric.NewSharded(eng, fabric.DefaultConfig(netsim.Bps(10e9*1.05), sim.Microsecond, 1), cl, nil)
+	fab, err := fabric.New(eng, fabric.DefaultConfig(netsim.Bps(10e9*1.05), sim.Microsecond, 1), cl, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -327,6 +272,35 @@ func (j *transportInjector) Act(uint64) {
 	}
 }
 
+// loadedFabric runs cells 512B cells through a K=4 fabric on a one-shard
+// engine — eight FAs injecting one cell every 2µs each — to completion.
+// before, when non-nil, schedules extra work before the run starts.
+func loadedFabric(b *testing.B, cells int, before func(*parsim.Engine, *fabric.Net)) *fabric.Net {
+	cl, err := fabric.ClosFor(4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := parsim.New(parsim.Config{Shards: 1, Lookahead: sim.Microsecond})
+	n, err := fabric.New(eng, fabric.DefaultConfig(10e9, sim.Microsecond, 1), cl, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := eng.Shard(0).Sim()
+	for i := 0; i < cells; i++ {
+		i := i
+		s.At(sim.Time(i/8)*2*sim.Microsecond, func() {
+			c := netsim.NewPacket()
+			c.Size = 512
+			n.Inject(c, i%8, (i+3)%8)
+		})
+	}
+	if before != nil {
+		before(eng, n)
+	}
+	eng.RunUntilQuiet(sim.Second)
+	return n
+}
+
 // BenchmarkTelemetryExport measures the per-scrape cost of the telemetry
 // hot path: one Capture reads every link direction of a loaded K=4
 // fabric into the recorder's reused snapshot, delta-encodes the window
@@ -335,26 +309,7 @@ func (j *transportInjector) Act(uint64) {
 // allocation-free — a scrape that allocates would perturb the very
 // simulation it observes; benchguard gates the allocs/op.
 func BenchmarkTelemetryExport(b *testing.B) {
-	s := sim.New()
-	cl, err := fabric.ClosFor(4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n, err := fabric.New(s, fabric.DefaultConfig(10e9, sim.Microsecond, 1), cl)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Put real traffic on the fabric so every window encodes nonzero
-	// per-direction deltas (the worst case for the varint encoder).
-	for i := 0; i < 4096; i++ {
-		i := i
-		s.At(sim.Time(i/8)*2*sim.Microsecond, func() {
-			c := netsim.NewPacket()
-			c.Size = 512
-			n.Inject(c, i%8, (i+3)%8)
-		})
-	}
-	s.Run()
+	n := loadedFabric(b, 4096, nil)
 	w, err := telemetry.NewWriter(io.Discard, telemetry.StreamHeader{
 		Dirs: 2 * n.NumLinks(), K: 4, ScrapePs: sim.Microsecond,
 	})
@@ -385,26 +340,9 @@ func BenchmarkTelemetryExport(b *testing.B) {
 // Release() audit for dropped and failed-link cells).
 func BenchmarkFabricFailurePath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := sim.New()
-		cl, err := fabric.ClosFor(4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		n, err := fabric.New(s, fabric.DefaultConfig(10e9, sim.Microsecond, 1), cl)
-		if err != nil {
-			b.Fatal(err)
-		}
-		const cells = 2000
-		for j := 0; j < cells; j++ {
-			j := j
-			s.At(sim.Time(j/8)*2*sim.Microsecond, func() {
-				c := netsim.NewPacket()
-				c.Size = 512
-				n.Inject(c, j%8, (j+3)%8)
-			})
-		}
-		s.At(100*sim.Microsecond, func() { n.FailLink(0); n.FailLink(17) })
-		s.Run()
+		n := loadedFabric(b, 2000, func(eng *parsim.Engine, n *fabric.Net) {
+			eng.At(100*sim.Microsecond, func() { n.FailLink(0); n.FailLink(17) })
+		})
 		if n.Delivered()+n.Drops() != n.Injected() {
 			b.Fatalf("cell leak under failure: %d delivered + %d dropped != %d injected",
 				n.Delivered(), n.Drops(), n.Injected())

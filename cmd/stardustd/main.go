@@ -54,7 +54,7 @@ func main() {
 	runWorkers := flag.Int("run-workers", 0, "parallel instances per run (0 = all CPUs)")
 	fabricK := flag.Int("fabric-k", 4, "managed fabric size (handed to topo.ByName, 0 = no live fabric)")
 	fabricTopo := flag.String("fabric-topo", "", "managed fabric topology: clos (default), sshuffle, star, or a full topo spec string")
-	fabricShards := flag.Int("fabric-shards", 1, "event-loop shards for the managed fabric (>1 = parallel sharded simulation)")
+	fabricShards := flag.Int("fabric-shards", 1, "event-loop shards of the managed fabric's parsim engine (>1 runs them in parallel; the run is identical at any count)")
 	fabricLoad := flag.Float64("fabric-load", 0.3, "offered load fraction on the managed fabric")
 	transportHostsPer := flag.Int("transport-hosts-per", 0, "run the sharded Stardust transport overlay with N hosts per FA (TCP permutation load, telemetry at /api/v1/transport; 0 = raw cell injectors)")
 	telemUs := flag.Int("fabric-telem-us", 0, "record the managed fabric as a STREC1 telemetry stream, one window per N sim-us (0 = off; serves /api/v1/telemetry/*)")

@@ -23,9 +23,10 @@
 //   - internal/fabricsim + internal/queueing: the two-tier cell fabric
 //     simulation with its M/D/1 reference (Fig 9, §4.2.1).
 //   - internal/fabric: the per-link cell fabric — one data plane over any
-//     topo.Graph (the paper's Clos, Space Shuffle, star-replaced), solo
-//     or sharded, with the §5.8 reach protocol as the Clos control plane
-//     and a delayed route recompute on the other graphs.
+//     topo.Graph (the paper's Clos, Space Shuffle, star-replaced) on a
+//     parsim engine of any shard count, with the §5.8 reach protocol as
+//     the Clos control plane and a delayed route recompute on the other
+//     graphs.
 //   - internal/netsim + internal/tcp: an htsim-equivalent packet simulator
 //     with TCP NewReno, DCTCP, DCQCN, MPTCP and a Stardust substrate model
 //     (Fig 10a-c, §6.3).

@@ -127,7 +127,7 @@ func NewModel(spec Spec) (*Model, error) {
 	look := sim.Microsecond
 	eng := parsim.New(parsim.Config{Shards: shards, Lookahead: look})
 	cfg := fabric.DefaultConfig(10e9, look, spec.Seed)
-	n, err := fabric.NewSharded(eng, cfg, graph, nil)
+	n, err := fabric.New(eng, cfg, graph, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -319,7 +319,7 @@ func (m *Model) RunLocal() (Outcome, error) {
 }
 
 // OwnersFor partitions spec.Shards shards over npeers peers in contiguous
-// blocks — the same deterministic rule fabric.NewSharded uses for each
+// blocks — the same deterministic rule fabric.New uses for each
 // tier's devices over shards, so two runs with the same (spec, npeers) always
 // cut identically.
 func OwnersFor(shards, npeers int) []int {

@@ -17,6 +17,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -222,6 +223,10 @@ type Scenario struct {
 	// Every key must exist in Defaults — Register enforces it, so a
 	// typo cannot document a parameter that does not exist.
 	Docs map[string]string
+	// Fractional lists the numeric parameters whose default is a whole
+	// number but which accept fractions; every other whole-number default
+	// marks an integer parameter.
+	Fractional []string
 	// Variants optionally expands one requested instance into several
 	// (one per protocol, per sweep point, …). The runner executes each
 	// variant as an independent parallel instance. nil = run as-is.
@@ -232,8 +237,9 @@ type Scenario struct {
 
 // checkParams rejects values a scenario could only misread: a parameter
 // whose default is numeric must be a finite, non-negative number (or a
-// comma list of them), and one whose default is true/false must be a
-// boolean. Empty values and keys the scenario does not declare pass
+// comma list of them) — a whole one where every default entry is whole,
+// unless the key is Fractional — and one whose default is true/false must
+// be a boolean. Empty values and keys the scenario does not declare pass
 // through (they mean "default").
 func (s *Scenario) checkParams(p Params) error {
 	keys := make([]string, 0, len(p))
@@ -251,14 +257,28 @@ func (s *Scenario) checkParams(p Params) error {
 				return fmt.Errorf("%s: parameter %s=%q is not true or false", s.Name, k, v)
 			}
 		case isNumber(strings.Split(def, ",")[0]):
+			whole := !slices.Contains(s.Fractional, k)
+			for _, e := range strings.Split(def, ",") {
+				whole = whole && isWhole(e)
+			}
 			for _, e := range strings.Split(v, ",") {
-				if !isNumber(strings.TrimSpace(e)) {
+				e = strings.TrimSpace(e)
+				if !isNumber(e) {
 					return fmt.Errorf("%s: parameter %s=%q is not a non-negative number", s.Name, k, v)
+				}
+				if whole && !isWhole(e) {
+					return fmt.Errorf("%s: parameter %s=%q is not a whole number", s.Name, k, v)
 				}
 			}
 		}
 	}
 	return nil
+}
+
+// isWhole reports whether v is an integer as Params.Int reads it.
+func isWhole(v string) bool {
+	_, err := strconv.Atoi(v)
+	return err == nil
 }
 
 // isNumber reports whether v is a finite, non-negative number.

@@ -301,13 +301,15 @@ func TestParamDocs(t *testing.T) {
 // checkParams refuses, before any instance runs, values a scenario could
 // only misread; free-form strings, empty values and undeclared keys pass.
 func TestCheckParams(t *testing.T) {
-	sc := Scenario{Name: "x", Defaults: Params{"n": "4", "f": "0.5", "list": "1,2", "on": "false", "name": "a"}}
-	for _, p := range []Params{{"n": "-1"}, {"n": "x"}, {"f": "NaN"}, {"f": "Inf"}, {"list": "1,-2"}, {"on": "maybe"}} {
+	sc := Scenario{Name: "x", Defaults: Params{"n": "4", "f": "0.5", "list": "1,2", "on": "false", "name": "a", "g": "1"}, Fractional: []string{"g"}}
+	for _, p := range []Params{{"n": "-1"}, {"n": "x"}, {"f": "NaN"}, {"f": "Inf"}, {"list": "1,-2"}, {"on": "maybe"},
+		{"n": "4.5"}, {"n": "1e3"}, {"list": "3,4.5"}} {
 		if err := sc.checkParams(p); err == nil {
 			t.Errorf("%v accepted", p)
 		}
 	}
-	for _, p := range []Params{{"n": "0"}, {"n": ""}, {"f": "2.5"}, {"list": "3, 4"}, {"on": "1"}, {"name": "-x"}, {"undeclared": "-1"}} {
+	for _, p := range []Params{{"n": "0"}, {"n": ""}, {"f": "2.5"}, {"f": "3"}, {"list": "3, 4"}, {"on": "1"}, {"name": "-x"}, {"undeclared": "-1"},
+		{"g": "0.5"}} {
 		if err := sc.checkParams(p); err != nil {
 			t.Errorf("%v refused: %v", p, err)
 		}

@@ -145,7 +145,6 @@ type FailureResult struct {
 // the dip and the self-healing recovery (§5.9, Appendix E).
 func FabricFailures(cfg HtsimConfig, nFail int, failAt, bin sim.Time) (*FailureResult, error) {
 	cfg.FullFabric = true
-	cfg.Shards = 0 // FailLink fires mid-run outside barrier context: solo only
 	tb, err := newTestbed(cfg, ProtoStardust)
 	if err != nil {
 		return nil, err
@@ -170,27 +169,29 @@ func FabricFailures(cfg HtsimConfig, nFail int, failAt, bin sim.Time) (*FailureR
 	}
 	victims := tb.rng.Perm(tb.fab.NumLinks())[:nFail]
 
-	tb.s.RunUntil(cfg.Warmup)
+	// FailLink touches devices on several shards, so the failure runs in
+	// barrier context: as an engine control at the start of its bin, or
+	// directly once the run is over.
+	failAll := func() {
+		for _, v := range victims {
+			tb.fab.FailLink(v)
+		}
+	}
+	tb.runUntil(cfg.Warmup)
 	res := &FailureResult{FailedLinks: nFail, BinMs: bin.Seconds() * 1e3, FailBin: -1}
 	prev := delivered()
-	failed := false
 	for t := cfg.Warmup; t < cfg.Warmup+cfg.Duration; t += bin {
-		if !failed && t-cfg.Warmup >= failAt {
-			for _, v := range victims {
-				tb.fab.FailLink(v)
-			}
-			failed = true
+		if res.FailBin < 0 && t-cfg.Warmup >= failAt {
+			tb.eng.At(t, failAll)
 			res.FailBin = len(res.Gbps)
 		}
-		tb.s.RunUntil(t + bin)
+		tb.runUntil(t + bin)
 		now := delivered()
 		res.Gbps = append(res.Gbps, (now-prev)*8/bin.Seconds()/1e9)
 		prev = now
 	}
-	if !failed { // failAt beyond the window: fail at the very end
-		for _, v := range victims {
-			tb.fab.FailLink(v)
-		}
+	if res.FailBin < 0 { // failAt beyond the window: fail at the very end
+		failAll()
 		res.FailBin = len(res.Gbps)
 	}
 
@@ -220,7 +221,7 @@ func FabricFailures(cfg HtsimConfig, nFail int, failAt, bin sim.Time) (*FailureR
 	}
 	res.Unreachable = tb.fab.UnreachablePairs()
 	res.FabricDrops = tb.fab.Drops()
-	res.ReasmTimeouts = tb.sd.ReasmTimeouts
+	res.ReasmTimeouts = tb.ssd.ReasmTimeouts()
 	return res, nil
 }
 

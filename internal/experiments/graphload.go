@@ -7,6 +7,7 @@ import (
 
 	"stardust/internal/fabric"
 	"stardust/internal/netsim"
+	"stardust/internal/parsim"
 	"stardust/internal/sim"
 	"stardust/internal/topo"
 	"stardust/internal/workload"
@@ -32,21 +33,27 @@ type GraphLoadResult struct {
 	Drops        uint64
 }
 
-// GraphLinkLoad runs a permutation of raw-cell flows between the edge
+// GraphLinkLoad is GraphLinkLoadOn at one shard.
+func GraphLinkLoad(topoName string, k int, mode string, load float64, warmup, dur sim.Time, seed int64) (*GraphLoadResult, error) {
+	return GraphLinkLoadOn(1, topoName, k, mode, load, warmup, dur, seed)
+}
+
+// GraphLinkLoadOn runs a permutation of raw-cell flows between the edge
 // devices of the named topology and measures how evenly each device
 // spread its bytes over its own uplinks. Mode "spray" uses per-cell
 // round-robin spraying (Stardust); mode "ecmp" pins each flow to one
 // hash-chosen path — the comparison the paper makes on the Clos, here
 // runnable on any topo.Graph. Both modes see the identical traffic
-// matrix for a given seed.
-func GraphLinkLoad(topoName string, k int, mode string, load float64, warmup, dur sim.Time, seed int64) (*GraphLoadResult, error) {
+// matrix for a given seed, and the result is byte-identical at any
+// shard count.
+func GraphLinkLoadOn(shards int, topoName string, k int, mode string, load float64, warmup, dur sim.Time, seed int64) (*GraphLoadResult, error) {
 	g, err := topo.ByName(topoName, k)
 	if err != nil {
 		return nil, err
 	}
-	s := sim.New()
 	fcfg := fabric.DefaultConfig(netsim.Bps(10e9), sim.Microsecond, seed)
-	fab, err := fabric.New(s, fcfg, g)
+	eng := parsim.New(parsim.Config{Shards: max(shards, 1), Lookahead: fcfg.LinkDelay})
+	fab, err := fabric.New(eng, fcfg, g, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -78,9 +85,9 @@ func GraphLinkLoad(topoName string, k int, mode string, load float64, warmup, du
 		j.Start(sim.Time(fa) * gap / sim.Time(numFA))
 	}
 
-	s.RunUntil(warmup)
+	eng.Run(warmup)
 	base := append([]uint64(nil), fab.FAUplinkBytes()...)
-	s.RunUntil(warmup + dur)
+	eng.Run(warmup + dur)
 	end := fab.FAUplinkBytes()
 
 	res := &GraphLoadResult{

@@ -47,14 +47,15 @@ type HtsimConfig struct {
 	StardustSpeedup float64
 	// FullFabric replaces the fluid trunk model of the Stardust substrate
 	// with the topology-faithful per-link fabric (internal/fabric): every
-	// FE device and serial link simulated, cells sprayed per link.
+	// FE device and serial link simulated, cells sprayed per link. The
+	// substrate then runs sharded on a parsim engine: fabric devices,
+	// VOQs, credit schedulers and TCP endpoints partitioned across Shards
+	// event loops, with byte-identical results at any shard count for the
+	// same seed.
 	FullFabric bool
-	// Shards, when >= 1 together with FullFabric, runs the Stardust
-	// substrate sharded: fabric devices, VOQs, credit schedulers and TCP
-	// endpoints partitioned across that many parsim event loops, with
-	// byte-identical results at any shard count for the same seed. 0 keeps
-	// the classic single event loop. Only the Stardust protocol shards;
-	// the fat-tree contenders always run solo.
+	// Shards is the FullFabric engine's event-loop count (values below 1
+	// mean one). The fluid model and the fat-tree contenders run on a
+	// single event loop and ignore it.
 	Shards int
 	Seed   int64
 }
@@ -81,16 +82,17 @@ func QuickHtsim() HtsimConfig {
 	return c
 }
 
-// testbed wires either the fat-tree (for the TCP variants) or the Stardust
-// substrate — solo or sharded — and hands out per-flow route builders.
+// testbed wires the fat-tree (for the TCP variants), the fluid Stardust
+// substrate, or the sharded Stardust substrate over the per-link fabric
+// (FullFabric), and hands out per-flow route builders.
 type testbed struct {
 	cfg   HtsimConfig
 	s     *sim.Simulator
 	ft    *netsim.FatTreeNet
-	sd    *netsim.StardustNet        // solo Stardust substrate
-	ssd   *netsim.ShardedStardustNet // sharded Stardust substrate (FullFabric && Shards >= 1)
+	sd    *netsim.StardustNet        // fluid Stardust substrate
+	ssd   *netsim.ShardedStardustNet // Stardust substrate over the per-link fabric (FullFabric)
 	eng   *parsim.Engine             // non-nil iff ssd is
-	fab   *fabric.Net                // non-nil when cfg.FullFabric selected the per-link fabric
+	fab   *fabric.Net                // non-nil iff ssd is
 	hosts int
 	rng   *rand.Rand
 }
@@ -113,7 +115,7 @@ func newTestbed(cfg HtsimConfig, proto Protocol) (*testbed, error) {
 			sdc.SpeedUp = cfg.StardustSpeedup
 		}
 		hosts := cfg.K * cfg.K * cfg.K / 4
-		if cfg.FullFabric && cfg.Shards >= 1 {
+		if cfg.FullFabric {
 			// Sharded end-to-end run: the engine's lookahead is the link
 			// delay (the fabric's synchronization horizon) and the whole
 			// transport is partitioned by edge FA.
@@ -121,9 +123,9 @@ func newTestbed(cfg HtsimConfig, proto Protocol) (*testbed, error) {
 			if err != nil {
 				return nil, err
 			}
-			eng := parsim.New(parsim.Config{Shards: cfg.Shards, Lookahead: ftc.LinkDelay})
+			eng := parsim.New(parsim.Config{Shards: max(cfg.Shards, 1), Lookahead: ftc.LinkDelay})
 			fcfg := fabric.DefaultConfig(netsim.Bps(float64(ftc.LinkRate)*1.05), ftc.LinkDelay, cfg.Seed)
-			fn, err := fabric.NewSharded(eng, fcfg, cl, nil)
+			fn, err := fabric.New(eng, fcfg, cl, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -139,20 +141,6 @@ func newTestbed(cfg HtsimConfig, proto Protocol) (*testbed, error) {
 		sd, err := netsim.NewStardustNet(tb.s, sdc, hosts, hostsPer)
 		if err != nil {
 			return nil, err
-		}
-		if cfg.FullFabric {
-			cl, err := fabric.ClosFor(cfg.K)
-			if err != nil {
-				return nil, err
-			}
-			fcfg := fabric.DefaultConfig(netsim.Bps(float64(ftc.LinkRate)*1.05), ftc.LinkDelay, cfg.Seed)
-			fn, err := fabric.New(tb.s, fcfg, cl)
-			if err != nil {
-				return nil, err
-			}
-			fn.OnDeliver = sd.DeliverCell
-			sd.UseFabric(fn)
-			tb.fab = fn
 		}
 		tb.sd = sd
 		tb.hosts = hosts
@@ -185,7 +173,7 @@ func (tb *testbed) linkRate() float64 {
 }
 
 // sim returns the event heap host h's endpoints must run on: the shard
-// the host is pinned to in a sharded run, the single loop otherwise.
+// the host is pinned to in a FullFabric run, the single loop otherwise.
 func (tb *testbed) sim(h int) *sim.Simulator {
 	if tb.ssd != nil {
 		return tb.ssd.HostSim(h)
@@ -491,8 +479,9 @@ func Incast(cfg HtsimConfig, proto Protocol, backends int, responseBytes int64) 
 	}
 	inc := workload.NewIncast(tb.rng, tb.hosts, backends, responseBytes)
 	// Completion is read off each runner at quiescent points rather than
-	// through callbacks, so the same loop drives solo and sharded runs
-	// (a sharded completion callback would fire on a shard goroutine).
+	// through callbacks, so the same loop drives single-loop and sharded
+	// runs (a sharded completion callback would fire on a shard
+	// goroutine).
 	runners := make([]flowRunner, len(inc.Backends))
 	for i, b := range inc.Backends {
 		runners[i] = tb.launchFlow(proto, b, inc.Frontend, responseBytes, 0, nil)

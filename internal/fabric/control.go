@@ -13,9 +13,9 @@
 // in its paper, so it is centralized-but-delayed: a failure prunes the
 // dead port at both ends at once, and Graph.Routes is reinstalled over
 // the live links after Cfg.ReachDelay — the same convergence lag, without
-// a graph-specific protocol. A sharded fabric runs the reinstall in
-// barrier context, so its instant is quantized to a window boundary — a
-// function of the lookahead alone, hence identical at every shard count.
+// a graph-specific protocol. The reinstall runs in barrier context, so
+// its instant is quantized to a window boundary — a function of the
+// lookahead alone, hence identical at every shard count.
 package fabric
 
 import (
@@ -83,7 +83,7 @@ type spinePort struct {
 	port  int
 }
 
-// reachEvent is one buffered OnReachUpdate notification (sharded Clos):
+// reachEvent is one buffered OnReachUpdate notification (Clos):
 // the update lands on the spine tier at `at`; the engine's barrier drains
 // the buffers in deterministic (at, fe1) order.
 type reachEvent struct {
@@ -158,9 +158,7 @@ func (k *closControl) install() {
 			k.setUplink(lk, true)
 		}
 	}
-	if k.n.eng != nil {
-		k.n.eng.OnBarrier(k.drainReach)
-	}
+	k.n.eng.OnBarrier(k.drainReach)
 }
 
 // setFALink applies an FA<->FE1 link's state at both ends: the FA's
@@ -228,48 +226,31 @@ func (a applyReach) Act(uint64) {
 
 // readvertise propagates FE1 f's (changed) reachable set to every spine
 // it still has a live link to, after the protocol's propagation delay.
-// Solo mode recomputes the set at delivery time, so overlapping failures
-// coalesce into the latest truth. Sharded mode builds the messages one
-// lookahead before delivery on the FE1's shard, so they can cross a
-// mailbox, and every spine applies them at the same instant as solo mode
-// on the FE1's reach lane.
+// The messages are built one lookahead before delivery on the FE1's
+// shard, so they can cross a mailbox, and every spine applies them at
+// the delay's instant on the FE1's reach lane.
 func (k *closControl) readvertise(f int) {
 	n, c := k.n, k.c
 	if c.NumFE2 == 0 {
 		return // single-tier fabric: FAs spray blindly, nothing upstream
 	}
 	fe := n.nodes[c.NumFA+f]
-	// send builds the messages and hands one applyReach per live uplink to
-	// deliver; the spine-side link state only changes in barrier context,
-	// so this read is identical at every shard count.
-	send := func(deliver func(sp spinePort, a applyReach)) int {
-		set := k.tbl[fe.id].ReachableSet()
-		msgs := reach.BuildMessages(uint16(f), set, c.NumFA)
-		for _, sp := range k.up[f] {
-			if n.nodes[sp.spine].out[sp.port].up {
-				deliver(sp, applyReach{tbl: k.tbl[sp.spine], spine: sp.spine - c.NumFA - c.NumFE1, port: sp.port, msgs: msgs})
-			}
-		}
-		return set.Count()
-	}
-	if n.eng == nil {
-		n.Sim.After(n.Cfg.ReachDelay, func() {
-			cnt := send(func(_ spinePort, a applyReach) { a.Act(0) })
-			if n.OnReachUpdate != nil {
-				n.OnReachUpdate(f, cnt)
-			}
-		})
-		return
-	}
 	look := n.eng.Lookahead()
 	lane := int32(2*len(n.wiring) + f)
 	src := n.eng.Shard(fe.sh.id)
 	fe.sh.sm.AtLaneFunc(fe.sh.sm.Now()+n.Cfg.ReachDelay-look, lane, func() {
+		// The spine-side link state only changes in barrier context, so
+		// this read is identical at every shard count.
 		at := fe.sh.sm.Now() + look
-		cnt := send(func(sp spinePort, a applyReach) {
-			src.To(n.nodeShard[sp.spine]).AtLane(at, lane, a, 0)
-		})
-		fe.sh.reach = append(fe.sh.reach, reachEvent{at: at, fe1: f, reachable: cnt})
+		set := k.tbl[fe.id].ReachableSet()
+		msgs := reach.BuildMessages(uint16(f), set, c.NumFA)
+		for _, sp := range k.up[f] {
+			if n.nodes[sp.spine].out[sp.port].up {
+				a := applyReach{tbl: k.tbl[sp.spine], spine: sp.spine - c.NumFA - c.NumFE1, port: sp.port, msgs: msgs}
+				src.To(n.nodeShard[sp.spine]).AtLane(at, lane, a, 0)
+			}
+		}
+		fe.sh.reach = append(fe.sh.reach, reachEvent{at: at, fe1: f, reachable: set.Count()})
 	})
 }
 
@@ -291,15 +272,15 @@ func (k *closControl) drainReach(now sim.Time) {
 		}
 		sh.reach = keep
 	}
+	if len(due) == 0 || k.n.OnReachUpdate == nil {
+		return
+	}
 	sort.Slice(due, func(i, j int) bool {
 		if due[i].at != due[j].at {
 			return due[i].at < due[j].at
 		}
 		return due[i].fe1 < due[j].fe1
 	})
-	if k.n.OnReachUpdate == nil {
-		return
-	}
 	for _, ev := range due {
 		k.n.OnReachUpdate(ev.fe1, ev.reachable)
 	}
@@ -391,11 +372,7 @@ func (k *graphControl) linkChanged(i int, up bool) {
 			d.climb.Clear(end[1])
 		}
 	}
-	if n.eng != nil {
-		n.eng.At(n.eng.Now()+n.Cfg.ReachDelay, func() { k.installRoutes(false) })
-		return
-	}
-	n.Sim.After(n.Cfg.ReachDelay, func() { k.installRoutes(false) })
+	n.eng.At(n.eng.Now()+n.Cfg.ReachDelay, func() { k.installRoutes(false) })
 }
 
 // replicatedUnreachable counts ordered (src, dst) edge pairs the installed

@@ -4,14 +4,16 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"stardust/internal/parsim"
 	"stardust/internal/reach"
 	"stardust/internal/sim"
 	"stardust/internal/topo"
 )
 
-// codecNet builds the small solo fabric the codec tests decode against:
-// a K=4 Clos (reach protocol) or a Space Shuffle graph (no reach mail).
-func codecNet(t testing.TB, clos bool) (*sim.Simulator, *Net) {
+// codecNet builds the small one-shard fabric the codec tests decode
+// against: a K=4 Clos (reach protocol) or a Space Shuffle graph (no reach
+// mail).
+func codecNet(t testing.TB, clos bool) (*parsim.Engine, *Net) {
 	t.Helper()
 	name := "sshuffle"
 	if clos {
@@ -21,12 +23,12 @@ func codecNet(t testing.TB, clos bool) (*sim.Simulator, *Net) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sim.New()
-	n, err := New(s, DefaultConfig(10e9, sim.Microsecond, 1), g)
+	eng := parsim.New(parsim.Config{Shards: 1, Lookahead: sim.Microsecond})
+	n, err := New(eng, DefaultConfig(10e9, sim.Microsecond, 1), g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, n
+	return eng, n
 }
 
 // reachPayload hand-builds a MailReach payload: spine, port, a message
@@ -97,7 +99,7 @@ func FuzzDecodeMail(f *testing.F) {
 	f.Add(false, MailReach, int32(40), reachPayload(0, 0, 1, 1))
 	f.Add(true, MailReach, int32(64), []byte("\x00\x00\x80\x80\x80\x80\xe0\xe0\xe0\x80\x8000"))
 	f.Fuzz(func(t *testing.T, clos bool, kind byte, lane int32, payload []byte) {
-		s, n := codecNet(t, clos)
+		eng, n := codecNet(t, clos)
 		act, arg, err := n.DecodeMail(kind, lane, payload)
 		if err != nil {
 			return
@@ -106,6 +108,6 @@ func FuzzDecodeMail(f *testing.F) {
 			t.Fatal("nil action without an error")
 		}
 		act.Act(arg)
-		s.RunUntil(s.Now() + sim.Millisecond)
+		eng.Run(eng.Now() + sim.Millisecond)
 	})
 }

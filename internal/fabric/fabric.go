@@ -27,14 +27,14 @@
 // netsim.Packets, every directed link's route is prebuilt once, spreader
 // reshuffles are in place, and forwarding state lives in dense bitmaps.
 //
-// A fabric runs in one of two modes. New builds it on one sim.Simulator.
-// NewSharded partitions the devices across the shards of a parsim.Engine:
-// every device's events run on its owning shard, cells cross shard cuts
-// through conservative-lookahead mailboxes, and every link delivery is
-// ordered by a per-link event lane, so the results are byte-identical for
-// any shard count. Administrative link state (FailLink/RestoreLink)
-// mutates devices on several shards and so runs in barrier context only,
-// quantized to window boundaries — a function of the lookahead alone.
+// A fabric runs on a parsim.Engine, which partitions the devices across
+// its shards: every device's events run on its owning shard, cells cross
+// shard cuts through conservative-lookahead mailboxes, and every link
+// delivery is ordered by a per-link event lane, so the results are
+// byte-identical for any shard count, one included. Administrative link
+// state (FailLink/RestoreLink) mutates devices on several shards and so
+// runs in barrier context only, quantized to window boundaries — a
+// function of the lookahead alone.
 package fabric
 
 import (
@@ -96,12 +96,10 @@ const (
 )
 
 // shardState is the per-shard slice of a Net: the shard's event heap plus
-// the counters its devices increment. A solo fabric has exactly one; a
-// sharded fabric has one per parsim shard, so the hot path never writes a
-// counter another shard's goroutine could be writing concurrently.
-// Aggregate accessors (Injected, Delivered, ...) sum across shards and are
-// only meaningful when the fabric is quiescent: between runs in solo mode,
-// in barrier context in sharded mode.
+// the counters its devices increment, one per parsim shard, so the hot
+// path never writes a counter another shard's goroutine could be writing
+// concurrently. Aggregate accessors (Injected, Delivered, ...) sum across
+// shards and are only meaningful in barrier context.
 type shardState struct {
 	id int
 	sm *sim.Simulator
@@ -111,7 +109,7 @@ type shardState struct {
 	deadDrops    uint64
 	noRouteDrops uint64
 
-	reach []reachEvent // sharded Clos: buffered spine-landing notifications
+	reach []reachEvent // Clos: buffered spine-landing notifications
 }
 
 // link is one direction of a physical serial link: a serialization queue,
@@ -240,15 +238,14 @@ func ecmpHash(node int, seq int64) uint64 {
 // Net owns every device and directed link of one topo.Graph instance.
 type Net struct {
 	Cfg   Config
-	Sim   *sim.Simulator // solo event heap; shard 0's heap when sharded
 	Graph topo.Graph
 
 	ctl  control
 	mode RouteMode
 
-	eng       *parsim.Engine // nil in solo mode
-	shards    []*shardState  // len 1 in solo mode
-	nodeShard []int          // device -> owning shard
+	eng       *parsim.Engine
+	shards    []*shardState // one per engine shard
+	nodeShard []int         // device -> owning shard
 
 	nodes  []*node
 	edges  []*node // edge index -> device
@@ -257,27 +254,26 @@ type Net struct {
 	// links holds both directions of every topology link: 2i is A->B,
 	// 2i+1 is B->A.
 	links   []*link
-	linkUp  []bool // per topology link, in Graph.Routes' input shape
-	pipe    *netsim.Pipe
+	linkUp  []bool             // per topology link, in Graph.Routes' input shape
 	hairpin [][]netsim.Handler // per edge: local switching path (src == dst)
 
-	// Rebalancing state (sharded mode; see rebalance.go).
+	// Rebalancing state (see rebalance.go).
 	laneGroups   []int32 // lane -> owning event group (edge index + 1; 0 = immovable)
 	migrateHooks []func(fa, from, to int)
 	migrations   uint64
 
 	// OnDeliver receives every cell that reaches its destination edge
 	// device and owns it (must forward or Release it). When nil, delivered
-	// cells are Released. In sharded mode it runs on the destination's
-	// shard, so it must only touch per-edge state — prefer SetEgress there.
+	// cells are Released. It runs on the destination's shard, so it must
+	// only touch per-edge state — prefer SetEgress.
 	OnDeliver func(*netsim.Packet)
 
 	// OnCellDrop, when non-nil, observes every cell the fabric drops
 	// (failed link, no live route) just before it is released, so a
 	// harness can account the fate of every injected cell. It does not see
 	// link-queue tail drops; install netsim Queue.OnDrop hooks (via
-	// VisitQueues) for those. In sharded mode it is called from the
-	// dropping device's shard and must be safe for concurrent use.
+	// VisitQueues) for those. It is called from the dropping device's
+	// shard and must be safe for concurrent use.
 	OnCellDrop func(*netsim.Packet)
 
 	// OnLinkState, when non-nil, observes every administrative state
@@ -292,24 +288,22 @@ type Net struct {
 	// reachable set landing on the spine tier (§5.8): dev is the FE1 and
 	// reachable the FA count it advertises. On other graphs it fires per
 	// device, in device order, whose routable destination count changed
-	// with a route reinstall. In sharded mode it is invoked in barrier
-	// context, in deterministic order.
+	// with a route reinstall. It is invoked in barrier context, in
+	// deterministic order.
 	OnReachUpdate func(dev, reachable int)
 }
 
-// New builds all devices and links of g on the single event loop s.
-func New(s *sim.Simulator, cfg Config, g topo.Graph) (*Net, error) {
-	return build(cfg, g, []*shardState{{sm: s}}, make([]int, g.NumNodes()), nil)
-}
-
-// NewSharded builds the fabric across the shards of eng. assign maps each
+// New builds the fabric across the shards of eng. assign maps each
 // device (Graph node) to a shard; nil assigns contiguous index blocks per
 // tier — a deterministic function of (topology, shard count), so two runs
 // at the same shard count always cut the same links. The engine's
 // lookahead must not exceed the link delay (a cell crossing a cut link
 // must arrive at least one window later) and the reach delay must be at
 // least two lookaheads (build + deliver).
-func NewSharded(eng *parsim.Engine, cfg Config, g topo.Graph, assign []int) (*Net, error) {
+func New(eng *parsim.Engine, cfg Config, g topo.Graph, assign []int) (*Net, error) {
+	if cfg.LinkRate <= 0 || cfg.LinkBytes <= 0 {
+		return nil, fmt.Errorf("fabric: need positive link rate and capacity")
+	}
 	if eng.Lookahead() > cfg.LinkDelay {
 		return nil, fmt.Errorf("fabric: engine lookahead %d exceeds link delay %d", eng.Lookahead(), cfg.LinkDelay)
 	}
@@ -331,38 +325,12 @@ func NewSharded(eng *parsim.Engine, cfg Config, g topo.Graph, assign []int) (*Ne
 	for i := range shards {
 		shards[i] = &shardState{id: i, sm: eng.Shard(i).Sim()}
 	}
-	return build(cfg, g, shards, append([]int(nil), assign...), eng)
-}
-
-// assignShards distributes the devices over n shards in contiguous index
-// blocks, each tier independently.
-func assignShards(g topo.Graph, n int) []int {
-	tier := make([]int, g.NumNodes())
-	size, seen := make(map[int]int), make(map[int]int)
-	for i := range tier {
-		tier[i] = g.Node(i).Tier
-		size[tier[i]]++
-	}
-	out := make([]int, len(tier))
-	for i, t := range tier {
-		out[i] = seen[t] * n / size[t]
-		seen[t]++
-	}
-	return out
-}
-
-// build wires devices and links. shards is the shard table (one entry in
-// solo mode), assign maps devices onto it, eng is the parsim engine or nil.
-func build(cfg Config, g topo.Graph, shards []*shardState, assign []int, eng *parsim.Engine) (*Net, error) {
-	if cfg.LinkRate <= 0 || cfg.LinkBytes <= 0 {
-		return nil, fmt.Errorf("fabric: need positive link rate and capacity")
-	}
+	assign = append([]int(nil), assign...)
 	if cfg.ReshuffleRounds < 1 {
 		cfg.ReshuffleRounds = 64
 	}
 	n := &Net{
 		Cfg:       cfg,
-		Sim:       shards[0].sm,
 		Graph:     g,
 		eng:       eng,
 		shards:    shards,
@@ -385,9 +353,6 @@ func build(cfg Config, g topo.Graph, shards []*shardState, assign []int, eng *pa
 	n.linkUp = make([]bool, len(n.wiring))
 	for i := range n.linkUp {
 		n.linkUp[i] = true
-	}
-	if eng == nil {
-		n.pipe = netsim.NewPipe(n.Sim, cfg.LinkDelay)
 	}
 
 	// Spreader seeds are drawn in device order, one per non-empty port
@@ -425,16 +390,11 @@ func build(cfg Config, g topo.Graph, shards []*shardState, assign []int, eng *pa
 		n.edges[e] = n.nodes[g.EdgeNode(e)]
 		sh := n.edges[e].sh
 		n.egress[e] = egress{net: n, sh: sh}
-		if eng == nil {
-			n.hairpin[e] = []netsim.Handler{n.pipe, &n.egress[e]}
-		} else {
-			lp := &netsim.LanePipe{Sched: sh.sm, Delay: cfg.LinkDelay, Lane: n.hairpinLane(e)}
-			n.hairpin[e] = []netsim.Handler{lp, &n.egress[e]}
-		}
+		lp := &netsim.LanePipe{Sched: sh.sm, Delay: cfg.LinkDelay, Lane: n.hairpinLane(e)}
+		n.hairpin[e] = []netsim.Handler{lp, &n.egress[e]}
 	}
 
-	// One link per direction. Solo mode: the shared pipe (default event
-	// lane). Sharded mode: a LanePipe on the directed link's own lane,
+	// One link per direction: a LanePipe on the directed link's own lane,
 	// crossing shards through the engine's mailboxes when needed.
 	mkLink := func(from, port, to int) *link {
 		fromSh, toSh := shards[assign[from]], shards[assign[to]]
@@ -445,12 +405,8 @@ func build(cfg Config, g topo.Graph, shards []*shardState, assign []int, eng *pa
 			to:  n.nodes[to],
 			up:  true,
 		}
-		if eng == nil {
-			l.route = []netsim.Handler{l.q, n.pipe, l}
-		} else {
-			lp := &netsim.LanePipe{Sched: eng.Shard(fromSh.id).To(toSh.id), Delay: cfg.LinkDelay, Lane: int32(len(n.links))}
-			l.route = []netsim.Handler{l.q, lp, l}
-		}
+		lp := &netsim.LanePipe{Sched: eng.Shard(fromSh.id).To(toSh.id), Delay: cfg.LinkDelay, Lane: int32(len(n.links))}
+		l.route = []netsim.Handler{l.q, lp, l}
 		n.links = append(n.links, l)
 		return l
 	}
@@ -459,31 +415,46 @@ func build(cfg Config, g topo.Graph, shards []*shardState, assign []int, eng *pa
 		n.nodes[lk.B].out[lk.BPort] = mkLink(lk.B, lk.BPort, lk.A)
 	}
 
-	if eng != nil {
-		// Lane -> event-group table for adaptive rebalancing: deliveries
-		// onto an edge device — over a link or its hairpin path — belong to
-		// that device's migratable group; everything landing on a transit
-		// device (and every control-plane flow) stays in immovable group 0.
-		tbl := make([]int32, n.Lanes())
-		for i, lk := range n.wiring {
-			if e := edgeOf[lk.B]; e >= 0 {
-				tbl[2*i] = n.GroupOfFA(e)
-			}
-			if e := edgeOf[lk.A]; e >= 0 {
-				tbl[2*i+1] = n.GroupOfFA(e)
-			}
+	// Lane -> event-group table for adaptive rebalancing: deliveries onto
+	// an edge device — over a link or its hairpin path — belong to that
+	// device's migratable group; everything landing on a transit device
+	// (and every control-plane flow) stays in immovable group 0.
+	tbl := make([]int32, n.Lanes())
+	for i, lk := range n.wiring {
+		if e := edgeOf[lk.B]; e >= 0 {
+			tbl[2*i] = n.GroupOfFA(e)
 		}
-		for e := 0; e < numEdge; e++ {
-			tbl[n.hairpinLane(e)] = n.GroupOfFA(e)
+		if e := edgeOf[lk.A]; e >= 0 {
+			tbl[2*i+1] = n.GroupOfFA(e)
 		}
-		n.laneGroups = tbl
-		for _, sh := range shards {
-			sh.sm.SetLaneGroups(tbl)
-			sh.sm.EnsureGroups(numEdge + 1)
-		}
+	}
+	for e := 0; e < numEdge; e++ {
+		tbl[n.hairpinLane(e)] = n.GroupOfFA(e)
+	}
+	n.laneGroups = tbl
+	for _, sh := range shards {
+		sh.sm.SetLaneGroups(tbl)
+		sh.sm.EnsureGroups(numEdge + 1)
 	}
 	n.ctl.install()
 	return n, nil
+}
+
+// assignShards distributes the devices over n shards in contiguous index
+// blocks, each tier independently.
+func assignShards(g topo.Graph, n int) []int {
+	tier := make([]int, g.NumNodes())
+	size, seen := make(map[int]int), make(map[int]int)
+	for i := range tier {
+		tier[i] = g.Node(i).Tier
+		size[tier[i]]++
+	}
+	out := make([]int, len(tier))
+	for i, t := range tier {
+		out[i] = seen[t] * n / size[t]
+		seen[t]++
+	}
+	return out
 }
 
 // dropCell releases a cell lost inside the fabric, after showing it to
@@ -503,15 +474,12 @@ func (n *Net) hairpinLane(e int) int32 {
 
 // Lanes returns the first event lane not used by the fabric: the lane
 // space [0, Lanes()) names the fabric's directed links, control-plane
-// flows and hairpin paths. A transport layered on top of a sharded fabric
-// (the sharded Stardust substrate) allocates its own lanes from Lanes()
+// flows and hairpin paths. A transport layered on top of the fabric (the
+// sharded Stardust substrate) allocates its own lanes from Lanes()
 // up, so the two layers' same-instant events never collide on one lane.
 func (n *Net) Lanes() int32 { return n.hairpinLane(len(n.edges)) }
 
-// Sharded reports whether the fabric runs on a parsim engine.
-func (n *Net) Sharded() bool { return n.eng != nil }
-
-// Engine returns the parsim engine of a sharded fabric (nil in solo mode).
+// Engine returns the parsim engine the fabric runs on.
 func (n *Net) Engine() *parsim.Engine { return n.eng }
 
 // NumFA returns the number of edge devices — the injection and delivery
@@ -535,15 +503,15 @@ func (n *Net) edgeSim(fa int) *sim.Simulator { return n.edges[fa].sh.sm }
 
 // SetEgress installs h as the delivery endpoint of destination edge fa,
 // taking precedence over OnDeliver. The handler owns delivered cells
-// (forward or Release). In sharded mode h runs pinned to fa's shard, so a
-// per-edge endpoint needs no locking.
+// (forward or Release). h runs pinned to fa's shard, so a per-edge
+// endpoint needs no locking.
 func (n *Net) SetEgress(fa int, h netsim.Handler) { n.egress[fa].to = h }
 
 // Inject sends one cell from edge srcFA toward edge dstFA. The cell's Flow
 // field is opaque to the fabric and travels with it; delivered cells are
 // handed to the egress endpoint (SetEgress/OnDeliver), lost cells are
-// Released. In sharded mode it must be called from srcFA's shard (an
-// event scheduled on that shard's Simulator). In ECMP mode the cell is
+// Released. It must be called from srcFA's shard (an event scheduled on
+// that shard's Simulator). In ECMP mode the cell is
 // stamped with its flow id (in Seq) so every hop hashes the flow to the
 // same path; ECMP fabrics therefore cannot carry a transport that uses Seq.
 func (n *Net) Inject(c *netsim.Packet, srcFA, dstFA int) {
@@ -579,8 +547,8 @@ func (n *Net) TrafficOfShard(s int) ShardTraffic {
 	return ShardTraffic{sh.injected, sh.delivered, sh.deadDrops, sh.noRouteDrops}
 }
 
-// traffic sums the traffic counters of every shard. Call it only when the
-// fabric is quiescent (between runs / in barrier context).
+// traffic sums the traffic counters of every shard. Call it only in
+// barrier context.
 func (n *Net) traffic() ShardTraffic {
 	var t ShardTraffic
 	for s := range n.shards {
@@ -593,15 +561,15 @@ func (n *Net) traffic() ShardTraffic {
 	return t
 }
 
-// Injected counts cells handed to Inject (quiescent only, as traffic).
+// Injected counts cells handed to Inject (barrier context, as traffic).
 func (n *Net) Injected() uint64 { return n.traffic().Injected }
 
-// Delivered counts cells that reached their destination (quiescent only).
+// Delivered counts cells that reached their destination (barrier context).
 func (n *Net) Delivered() uint64 { return n.traffic().Delivered }
 
 // Drops counts every cell lost inside the fabric: failed-link losses,
 // no-route discards during convergence, and link-queue tail drops.
-// Implements netsim.CellFabric (quiescent only).
+// Barrier context only.
 func (n *Net) Drops() uint64 {
 	t := n.traffic()
 	return t.DeadDrops + t.NoRouteDrops + n.QueueDrops()
@@ -619,8 +587,8 @@ func (n *Net) QueueDrops() uint64 {
 // FailLink takes down both directions of topology link i (an index into
 // Graph.GraphLinks). The adjacent devices detect the loss immediately
 // (keepalive, §5.9); the control plane reconverges after Cfg.ReachDelay.
-// In sharded mode it mutates state on several shards and must therefore
-// run in barrier context (parsim Engine.At / OnBarrier).
+// It mutates state on several shards and must therefore run in barrier
+// context (parsim Engine.At / OnBarrier, or between Run calls).
 func (n *Net) FailLink(i int) { n.setLink(i, false) }
 
 // RestoreLink brings topology link i back up; the control plane
@@ -645,8 +613,8 @@ func (n *Net) setLink(i int, up bool) {
 // checkBarrier panics when multi-shard state is mutated outside barrier
 // context — the misuse that would otherwise be a silent data race.
 func (n *Net) checkBarrier() {
-	if n.eng != nil && !n.eng.InBarrier() {
-		panic("fabric: sharded link state must be changed in barrier context (parsim Engine.At/OnBarrier)")
+	if !n.eng.InBarrier() {
+		panic("fabric: link state must be changed in barrier context (parsim Engine.At/OnBarrier)")
 	}
 }
 
@@ -657,7 +625,7 @@ func (n *Net) LinkUp(i int) bool { return n.linkUp[i] }
 // the spine-held part (SpineUnreachable over every spine) plus the
 // replicated part (ReplicatedUnreachable). Zero means every destination
 // is still deliverable from everywhere — the §5.9 self-healing invariant.
-// Sharded mode: barrier context only.
+// Barrier context only.
 func (n *Net) UnreachablePairs() int {
 	bad := n.ctl.replicatedUnreachable()
 	for i := 0; i < n.Spines(); i++ {
@@ -694,8 +662,8 @@ type LinkCounters struct {
 
 // ReadLinkCounters snapshots both directions of topology link i into out
 // (a 2-element window), so a periodic scraper can read the whole fabric
-// without allocating. out[0] is the A->B direction. Sharded mode: barrier
-// context only (the scrape crosses every shard's queues).
+// without allocating. out[0] is the A->B direction. Barrier context only
+// (the scrape crosses every shard's queues).
 func (n *Net) ReadLinkCounters(i int, out *[2]LinkCounters) {
 	for d := 0; d < 2; d++ {
 		q := n.links[2*i+d].q
@@ -713,7 +681,7 @@ func (n *Net) ReadLinkCounters(i int, out *[2]LinkCounters) {
 }
 
 // VisitQueues visits every directed link's serialization queue (for
-// aggregate statistics). Sharded mode: barrier context only.
+// aggregate statistics). Barrier context only.
 func (n *Net) VisitQueues(fn func(q *netsim.Queue)) {
 	for _, l := range n.links {
 		fn(l.q)

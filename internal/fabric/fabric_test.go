@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"stardust/internal/netsim"
+	"stardust/internal/parsim"
 	"stardust/internal/sim"
 	"stardust/internal/topo"
 )
@@ -29,31 +30,37 @@ func TestClosForShapes(t *testing.T) {
 	}
 }
 
-// newTestNet builds a K=4 fabric (8 FAs, 4 FE1s, 4 FE2s).
-func newTestNet(t *testing.T, seed int64) (*sim.Simulator, *Net, *topo.Clos) {
+// newTestNet builds a K=4 fabric (8 FAs, 4 FE1s, 4 FE2s) on a one-shard
+// engine.
+func newTestNet(t *testing.T, seed int64) (*parsim.Engine, *Net, *topo.Clos) {
 	t.Helper()
 	c, err := ClosFor(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sim.New()
-	n, err := New(s, DefaultConfig(10e9, sim.Microsecond, seed), c)
+	eng := parsim.New(parsim.Config{Shards: 1, Lookahead: sim.Microsecond})
+	n, err := New(eng, DefaultConfig(10e9, sim.Microsecond, seed), c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, n, c
+	return eng, n, c
 }
 
+// drain runs the engine until nothing remains to run.
+func drain(eng *parsim.Engine) { eng.RunUntilQuiet(eng.Now() + sim.Second) }
+
 // inject paces cells from every FA to a permutation destination; rate is
-// well under the per-FA uplink capacity so queues never overflow.
-func injectAll(s *sim.Simulator, n *Net, cells int) {
+// well under the per-FA uplink capacity so queues never overflow. The
+// pacing starts at the engine's current time.
+func injectAll(eng *parsim.Engine, n *Net, cells int) {
 	numFA := n.NumFA()
 	gap := 2 * sim.Microsecond // 512B at 10G is ~410ns; x5 headroom over 2 uplinks
+	start := eng.Now()
 	for i := 0; i < cells; i++ {
 		i := i
 		src := i % numFA
 		dst := (src + 1 + (i/numFA)%(numFA-1)) % numFA
-		s.At(sim.Time(i/numFA)*gap, func() {
+		eng.Shard(n.ShardOfFA(src)).Sim().At(start+sim.Time(i/numFA)*gap, func() {
 			c := netsim.NewPacket()
 			c.Size = 512
 			n.Inject(c, src, dst)
@@ -62,10 +69,10 @@ func injectAll(s *sim.Simulator, n *Net, cells int) {
 }
 
 func TestFabricDeliversEverything(t *testing.T) {
-	s, n, _ := newTestNet(t, 1)
+	eng, n, _ := newTestNet(t, 1)
 	const cells = 4000
-	injectAll(s, n, cells)
-	s.Run()
+	injectAll(eng, n, cells)
+	drain(eng)
 	if n.Injected() != cells {
 		t.Fatalf("injected %d, want %d", n.Injected(), cells)
 	}
@@ -79,13 +86,13 @@ func TestFabricDeliversEverything(t *testing.T) {
 }
 
 func TestFabricHairpin(t *testing.T) {
-	s, n, _ := newTestNet(t, 1)
+	eng, n, _ := newTestNet(t, 1)
 	got := 0
 	n.OnDeliver = func(c *netsim.Packet) { got++; c.Release() }
 	c := netsim.NewPacket()
 	c.Size = 512
 	n.Inject(c, 3, 3)
-	s.Run()
+	drain(eng)
 	if got != 1 || n.Delivered() != 1 {
 		t.Fatalf("hairpin delivered %d", got)
 	}
@@ -94,10 +101,10 @@ func TestFabricHairpin(t *testing.T) {
 // §5.3: under sustained traffic the source FA's uplinks must carry byte
 // counts within a few percent of each other.
 func TestFabricSprayBalance(t *testing.T) {
-	s, n, cl := newTestNet(t, 7)
+	eng, n, cl := newTestNet(t, 7)
 	const cells = 6000
-	injectAll(s, n, cells)
-	s.Run()
+	injectAll(eng, n, cells)
+	drain(eng)
 	perFA := cl.FAUplinks
 	bytes := n.FAUplinkBytes()
 	for fa := 0; fa < cl.NumFA; fa++ {
@@ -122,9 +129,9 @@ func TestFabricSprayBalance(t *testing.T) {
 
 func TestFabricDeterminism(t *testing.T) {
 	run := func() (uint64, []uint64) {
-		s, n, _ := newTestNet(t, 42)
-		injectAll(s, n, 3000)
-		s.Run()
+		eng, n, _ := newTestNet(t, 42)
+		injectAll(eng, n, 3000)
+		drain(eng)
 		return n.Delivered(), n.FAUplinkBytes()
 	}
 	d1, b1 := run()
@@ -143,9 +150,9 @@ func TestFabricDeterminism(t *testing.T) {
 // reachability invariant, and leak nothing: every injected cell is
 // either delivered or released through a counted drop path.
 func TestFabricFailureBalanceAndRecovery(t *testing.T) {
-	s, n, cl := newTestNet(t, 3)
+	eng, n, cl := newTestNet(t, 3)
 	const cells = 8000
-	injectAll(s, n, cells)
+	injectAll(eng, n, cells)
 	// Kill two links mid-traffic: one FA-FE1 link and one FE1-FE2 link.
 	var faLink, feLink = -1, -1
 	for i, lk := range cl.Links {
@@ -156,11 +163,11 @@ func TestFabricFailureBalanceAndRecovery(t *testing.T) {
 			feLink = i
 		}
 	}
-	s.At(200*sim.Microsecond, func() {
+	eng.At(200*sim.Microsecond, func() {
 		n.FailLink(faLink)
 		n.FailLink(feLink)
 	})
-	s.Run()
+	drain(eng)
 	if n.Injected() != cells {
 		t.Fatalf("injected %d", n.Injected())
 	}
@@ -179,8 +186,8 @@ func TestFabricFailureBalanceAndRecovery(t *testing.T) {
 	// Traffic injected after convergence must get through untouched.
 	pre := n.Delivered()
 	preDrops := n.Drops()
-	injectAll(s, n, 2000)
-	s.Run()
+	injectAll(eng, n, 2000)
+	drain(eng)
 	if gotDrops := n.Drops() - preDrops; gotDrops != 0 {
 		t.Fatalf("post-recovery traffic dropped %d cells", gotDrops)
 	}
@@ -190,18 +197,18 @@ func TestFabricFailureBalanceAndRecovery(t *testing.T) {
 }
 
 func TestFabricRestoreLink(t *testing.T) {
-	s, n, _ := newTestNet(t, 5)
+	eng, n, _ := newTestNet(t, 5)
 	n.FailLink(0)
 	n.FailLink(1)
-	s.Run()
+	drain(eng)
 	n.RestoreLink(0)
 	n.RestoreLink(1)
-	s.Run()
+	drain(eng)
 	if u := n.UnreachablePairs(); u != 0 {
 		t.Fatalf("unreachable after restore: %d", u)
 	}
-	injectAll(s, n, 2000)
-	s.Run()
+	injectAll(eng, n, 2000)
+	drain(eng)
 	if n.Drops() != 0 {
 		t.Fatalf("restored fabric dropped %d", n.Drops())
 	}
@@ -210,13 +217,13 @@ func TestFabricRestoreLink(t *testing.T) {
 // Isolating an FA (all uplinks down) must surface in the reachability
 // cross-check and drop its traffic through counted paths, not hang.
 func TestFabricIsolatedFA(t *testing.T) {
-	s, n, cl := newTestNet(t, 9)
+	eng, n, cl := newTestNet(t, 9)
 	for i, lk := range cl.Links {
 		if lk.A.Kind == topo.KindFA && lk.A.Index == 0 {
 			n.FailLink(i)
 		}
 	}
-	s.Run() // let withdrawals propagate
+	drain(eng) // let withdrawals propagate
 	if u := n.UnreachablePairs(); u == 0 {
 		t.Fatal("isolated FA not visible in reachability cross-check")
 	}
@@ -226,7 +233,7 @@ func TestFabricIsolatedFA(t *testing.T) {
 	c2 := netsim.NewPacket()
 	c2.Size = 512
 	n.Inject(c2, 5, 0) // reachable nowhere after convergence
-	s.Run()
+	drain(eng)
 	if n.Delivered() != 0 {
 		t.Fatalf("delivered %d to/from an isolated FA", n.Delivered())
 	}
@@ -241,17 +248,17 @@ func TestFabricAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are meaningless")
 	}
-	s, n, _ := newTestNet(t, 11)
+	eng, n, _ := newTestNet(t, 11)
 	// Warm the pools and rings.
-	injectAll(s, n, 2000)
-	s.Run()
+	injectAll(eng, n, 2000)
+	drain(eng)
 	avg := testing.AllocsPerRun(50, func() {
 		for i := 0; i < 64; i++ {
 			c := netsim.NewPacket()
 			c.Size = 512
 			n.Inject(c, i%8, (i+3)%8)
 		}
-		s.Run()
+		drain(eng)
 	})
 	// 64 cells x 4 hops per run; allow a tiny residue for heap growth.
 	if avg > 2 {
@@ -261,10 +268,11 @@ func TestFabricAllocFree(t *testing.T) {
 
 // Overlapping failures and recoveries inside one ReachDelay window must
 // coalesce: every delayed withdrawal recomputes the FE1's reachable set
-// at delivery time, so a stale message can never overwrite newer truth
-// at the spine (the §5.8 propagation protocol under interleaving).
+// one lookahead before delivery, so a stale message can never overwrite
+// newer truth at the spine (the §5.8 propagation protocol under
+// interleaving).
 func TestWithdrawalInterleavingCoalesces(t *testing.T) {
-	s, n, cl := newTestNet(t, 13)
+	eng, n, cl := newTestNet(t, 13)
 	// Two FA links landing on the same FE1.
 	var lks []int
 	for i, lk := range cl.Links {
@@ -285,16 +293,16 @@ func TestWithdrawalInterleavingCoalesces(t *testing.T) {
 	}
 	var got []upd
 	n.OnReachUpdate = func(fe1, reachable int) {
-		got = append(got, upd{s.Now(), fe1, reachable})
+		got = append(got, upd{eng.Now(), fe1, reachable})
 	}
 	d := n.Cfg.ReachDelay
-	s.At(0, func() { n.FailLink(lk1) })
-	s.At(d/5, func() { n.FailLink(lk2) })
-	s.At(2*d/5, func() { n.RestoreLink(lk1) }) // before any withdrawal lands
-	s.Run()
+	eng.At(0, func() { n.FailLink(lk1) })
+	eng.At(d/5, func() { n.FailLink(lk2) })
+	eng.At(2*d/5, func() { n.RestoreLink(lk1) }) // before any withdrawal lands
+	drain(eng)
 
 	// Three state changes -> three delayed deliveries, every one carrying
-	// the truth at its own delivery time: lk1 healed, lk2 still down.
+	// the truth near its own delivery time: lk1 healed, lk2 still down.
 	if len(got) != 3 {
 		t.Fatalf("got %d reach updates, want 3: %v", len(got), got)
 	}
@@ -319,7 +327,7 @@ func TestWithdrawalInterleavingCoalesces(t *testing.T) {
 
 	// Heal lk2: the final readvertisement restores the full set.
 	n.RestoreLink(lk2)
-	s.Run()
+	drain(eng)
 	last := got[len(got)-1]
 	if last.reachable != full {
 		t.Fatalf("final advertisement %d FAs, want %d", last.reachable, full)
@@ -332,7 +340,7 @@ func TestWithdrawalInterleavingCoalesces(t *testing.T) {
 // Failing the same link twice must not double-fire hooks or withdrawals,
 // and restore of a never-failed link is a no-op.
 func TestLinkStateIdempotent(t *testing.T) {
-	s, n, _ := newTestNet(t, 17)
+	eng, n, _ := newTestNet(t, 17)
 	var transitions int
 	n.OnLinkState = func(int, bool) { transitions++ }
 	n.FailLink(0)
@@ -340,7 +348,7 @@ func TestLinkStateIdempotent(t *testing.T) {
 	n.RestoreLink(0)
 	n.RestoreLink(0)
 	n.RestoreLink(1)
-	s.Run()
+	drain(eng)
 	if transitions != 2 {
 		t.Fatalf("%d transitions for one fail+restore, want 2", transitions)
 	}

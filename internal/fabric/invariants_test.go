@@ -108,7 +108,7 @@ func runProperty(t *testing.T, seed int64, shards int) propResult {
 	look := sim.Microsecond
 	eng := parsim.New(parsim.Config{Shards: shards, Lookahead: look})
 	cfg := DefaultConfig(10e9, look, seed)
-	n, err := NewSharded(eng, cfg, cl, nil)
+	n, err := New(eng, cfg, cl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,80 +271,52 @@ func TestFabricPropertyInvariants(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesSoloLossFree cross-checks the sharded engine against
-// the classic single-event-loop fabric: with no failures and load far
-// under capacity both must deliver every injected cell, and the delivered
-// id sets must be identical (delivery order may differ — the two engines
-// break same-instant ties differently, by design).
+// TestShardedMatchesSoloLossFree cross-checks a four-shard fabric against
+// the one-shard reference: with no failures and load far under capacity
+// both must deliver every injected cell, and every FA must receive the
+// same cell ids in the same order.
 func TestShardedMatchesSoloLossFree(t *testing.T) {
 	const seed = 3
 	const cells = 2000
-	program := func(inject func(c *netsim.Packet, src, dst int), numFA int) {
+	cl, err := ClosFor(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(shards int) [][]uint64 {
+		eng := parsim.New(parsim.Config{Shards: shards, Lookahead: sim.Microsecond})
+		n, err := New(eng, DefaultConfig(10e9, sim.Microsecond, seed), cl, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sinks := make([]*idSink, cl.NumFA)
+		for fa := range sinks {
+			sinks[fa] = &idSink{}
+			n.SetEgress(fa, sinks[fa])
+		}
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < cells; i++ {
 			c := netsim.NewPacket()
 			c.Size = 512
 			c.Seq = int64(i + 1)
-			src := i % numFA
-			inject(c, src, rng.Intn(numFA))
+			src, dst := i%cl.NumFA, rng.Intn(cl.NumFA)
+			at := sim.Time(i/cl.NumFA) * 2 * sim.Microsecond
+			eng.Shard(n.ShardOfFA(src)).Sim().At(at, func() { n.Inject(c, src, dst) })
 		}
-	}
-
-	cl, err := ClosFor(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Solo reference.
-	s := sim.New()
-	solo, err := New(s, DefaultConfig(10e9, sim.Microsecond, seed), cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	soloIDs := make(map[uint64]bool, cells)
-	solo.OnDeliver = func(c *netsim.Packet) { soloIDs[uint64(c.Seq)] = true; c.Release() }
-	idx := 0
-	program(func(c *netsim.Packet, src, dst int) {
-		at := sim.Time(idx/cl.NumFA) * 2 * sim.Microsecond
-		idx++
-		s.At(at, func() { solo.Inject(c, src, dst) })
-	}, cl.NumFA)
-	s.Run()
-	if got := solo.Delivered(); got != cells {
-		t.Fatalf("solo delivered %d of %d", got, cells)
-	}
-
-	// Sharded run of the same program.
-	eng := parsim.New(parsim.Config{Shards: 4, Lookahead: sim.Microsecond})
-	shn, err := NewSharded(eng, DefaultConfig(10e9, sim.Microsecond, seed), cl, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sinks := make([]*idSink, cl.NumFA)
-	for fa := range sinks {
-		sinks[fa] = &idSink{}
-		shn.SetEgress(fa, sinks[fa])
-	}
-	idx = 0
-	program(func(c *netsim.Packet, src, dst int) {
-		at := sim.Time(idx/cl.NumFA) * 2 * sim.Microsecond
-		idx++
-		eng.Shard(shn.ShardOfFA(src)).Sim().At(at, func() { shn.Inject(c, src, dst) })
-	}, cl.NumFA)
-	eng.RunUntilQuiet(sim.Second)
-	if got := shn.Delivered(); got != cells {
-		t.Fatalf("sharded delivered %d of %d (drops %d)", got, cells, shn.Drops())
-	}
-	for _, sk := range sinks {
-		for _, id := range sk.ids {
-			if !soloIDs[id] {
-				t.Fatalf("sharded delivered id %d the solo engine did not", id)
-			}
-			delete(soloIDs, id)
+		eng.RunUntilQuiet(sim.Second)
+		if got := n.Delivered(); got != cells {
+			t.Fatalf("%d shards delivered %d of %d (drops %d)", shards, got, cells, n.Drops())
 		}
+		out := make([][]uint64, len(sinks))
+		for fa, sk := range sinks {
+			out[fa] = sk.ids
+		}
+		return out
 	}
-	if len(soloIDs) != 0 {
-		t.Fatalf("%d ids delivered by solo but not sharded", len(soloIDs))
+	ref, got := run(1), run(4)
+	for fa := range ref {
+		if fmt.Sprint(ref[fa]) != fmt.Sprint(got[fa]) {
+			t.Fatalf("FA%d: 4 shards delivered %v, 1 shard %v", fa, got[fa], ref[fa])
+		}
 	}
 }
 
@@ -355,24 +327,22 @@ func TestShardedMatchesSoloLossFree(t *testing.T) {
 // packets (gaps allowed, reordering not).
 func TestStardustTransportInOrderUnderFailures(t *testing.T) {
 	const k = 4
-	s := sim.New()
 	cl, err := ClosFor(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := parsim.New(parsim.Config{Shards: 1, Lookahead: sim.Microsecond})
+	fab, err := New(eng, DefaultConfig(netsim.Bps(10e9*1.05), sim.Microsecond, 1), cl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hostsPer := k / 2
 	hosts := cl.NumFA * hostsPer
 	sdc := netsim.DefaultStardust(10e9, hostsPer, sim.Microsecond)
-	sd, err := netsim.NewStardustNet(s, sdc, hosts, hostsPer)
+	sd, err := netsim.NewShardedStardustNet(fab, sdc, hosts, hostsPer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fab, err := New(s, DefaultConfig(netsim.Bps(10e9*1.05), sim.Microsecond, 1), cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fab.OnDeliver = sd.DeliverCell
-	sd.UseFabric(fab)
 
 	type flowRec struct {
 		last      int64
@@ -393,7 +363,7 @@ func TestStardustTransportInOrderUnderFailures(t *testing.T) {
 		}))
 		for i := 0; i < 200; i++ {
 			i := i
-			s.At(sim.Time(i)*4*sim.Microsecond, func() {
+			sd.HostSim(src).At(sim.Time(i)*4*sim.Microsecond, func() {
 				p := netsim.NewPacket()
 				p.Size = 1500
 				p.Seq = int64(i + 1)
@@ -405,11 +375,11 @@ func TestStardustTransportInOrderUnderFailures(t *testing.T) {
 	// Kill two fabric links mid-run, heal later: some packets lose cells
 	// and must be discarded by the reassembly timer without ever letting a
 	// later packet overtake an earlier one.
-	s.At(150*sim.Microsecond, func() { fab.FailLink(0); fab.FailLink(9) })
-	s.At(500*sim.Microsecond, func() { fab.RestoreLink(0); fab.RestoreLink(9) })
+	eng.At(150*sim.Microsecond, func() { fab.FailLink(0); fab.FailLink(9) })
+	eng.At(500*sim.Microsecond, func() { fab.RestoreLink(0); fab.RestoreLink(9) })
 	// The credit-generation timers re-arm forever, so run to a deadline
 	// comfortably past the last injection plus reassembly timeouts.
-	s.RunUntil(3 * sim.Millisecond)
+	eng.Run(3 * sim.Millisecond)
 
 	total := 0
 	for src := range recs {
@@ -418,7 +388,9 @@ func TestStardustTransportInOrderUnderFailures(t *testing.T) {
 	if total == 0 {
 		t.Fatal("nothing delivered")
 	}
-	if sd.ReasmTimeouts == 0 && fab.Drops() > 0 {
-		t.Logf("note: %d fabric drops, %d reassembly timeouts", fab.Drops(), sd.ReasmTimeouts)
+	var tc netsim.TransportCounters
+	sd.ReadCounters(&tc)
+	if tc.ReasmTimeouts == 0 && fab.Drops() > 0 {
+		t.Logf("note: %d fabric drops, %d reassembly timeouts", fab.Drops(), tc.ReasmTimeouts)
 	}
 }

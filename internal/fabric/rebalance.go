@@ -62,11 +62,8 @@ func (n *Net) Migrations() uint64 { return n.migrations }
 // (fabric and any registered transport's alike — they share the group id)
 // are lifted from the old shard's event store and replayed into the new
 // one in order, and every queue, propagation hop and counter home of the
-// group is re-pinned. Barrier context only, sharded mode only.
+// group is re-pinned. Barrier context only.
 func (n *Net) MigrateFA(fa, to int) error {
-	if n.eng == nil {
-		return fmt.Errorf("fabric: MigrateFA needs a sharded fabric")
-	}
 	n.checkBarrier()
 	if to < 0 || to >= n.eng.Shards() {
 		return fmt.Errorf("fabric: shard %d out of range [0,%d)", to, n.eng.Shards())
@@ -139,9 +136,6 @@ func DefaultRebalance() RebalanceConfig {
 // single-shard engine never moves anything — which is how rebalanced runs
 // stay byte-identical across shard counts.
 func (n *Net) EnableRebalancing(cfg RebalanceConfig) error {
-	if n.eng == nil {
-		return fmt.Errorf("fabric: rebalancing needs a sharded fabric")
-	}
 	if cfg.Interval < 1 || cfg.Ratio <= 1 || cfg.MaxMoves < 1 {
 		return fmt.Errorf("fabric: bad rebalance config %+v", cfg)
 	}

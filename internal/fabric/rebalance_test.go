@@ -78,7 +78,7 @@ func runHotspot(t *testing.T, seed int64, shards int, rebalance bool, failN int)
 	look := sim.Microsecond
 	eng := parsim.New(parsim.Config{Shards: shards, Lookahead: look})
 	cfg := DefaultConfig(10e9, look, seed)
-	n, err := NewSharded(eng, cfg, cl, nil)
+	n, err := New(eng, cfg, cl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestForcedMigrationKeepsAccounting(t *testing.T) {
 	look := sim.Microsecond
 	eng := parsim.New(parsim.Config{Shards: 2, Lookahead: look})
 	cfg := DefaultConfig(10e9, look, seed)
-	n, err := NewSharded(eng, cfg, cl, nil)
+	n, err := New(eng, cfg, cl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"stardust/internal/fabric"
+	"stardust/internal/parsim"
 	"stardust/internal/sim"
 	"stardust/internal/topo"
 )
@@ -98,7 +99,7 @@ type LinkTelemetry struct {
 type Controller struct {
 	cfg Config
 	fab *fabric.Net
-	sim *sim.Simulator
+	eng *parsim.Engine
 	inv *Inventory
 	bus *Bus
 
@@ -113,41 +114,20 @@ type Controller struct {
 	stats      FabricStats
 	anomalies  map[string]Anomaly // active findings, keyed kind+device
 	scratch    [2]fabric.LinkCounters
-	nextScrape sim.Time // sharded mode: next barrier-scrape instant
+	nextScrape sim.Time // next barrier-scrape instant
 }
 
-// Attach builds a controller over fab, hooks the fabric's link-state and
-// reachability-update paths into the event bus, and schedules the
-// periodic telemetry scrape on the fabric's simulator. The first scrape
-// happens at time zero (one full period in).
-//
-// A sharded fabric must use AttachSharded instead: this scrape runs as an
-// ordinary simulator event on one shard and would read every other
-// shard's live queue counters mid-window — a data race the race detector
-// duly reports. The panic makes the misuse impossible rather than latent.
-func Attach(fab *fabric.Net, cfg Config) *Controller {
-	if fab.Sharded() {
-		panic("mgmt: sharded fabric telemetry must go through the shard barrier; use AttachSharded")
-	}
-	c := newController(fab, cfg)
-	c.armScrape()
-	return c
-}
-
-// AttachSharded builds the controller over a sharded fabric. The
-// telemetry scrape runs in the engine's barrier context — every shard
-// quiescent at a synchronized instant — so reading the per-shard queue
-// and fabric counters cannot race the simulation, and the scrape times
-// (window boundaries) are identical for every shard count, keeping the
+// Attach builds a controller over fab and hooks the fabric's link-state
+// and reachability-update paths into the event bus. The telemetry scrape
+// runs in the engine's barrier context — every shard quiescent at a
+// synchronized instant — so reading the per-shard queue and fabric
+// counters cannot race the simulation, and the scrape times (window
+// boundaries) are identical for every shard count, keeping the
 // management plane's view consistent across shards.
-func AttachSharded(fab *fabric.Net, cfg Config) *Controller {
-	eng := fab.Engine()
-	if eng == nil {
-		panic("mgmt: AttachSharded needs a fabric built on a parsim engine")
-	}
+func Attach(fab *fabric.Net, cfg Config) *Controller {
 	c := newController(fab, cfg)
 	c.nextScrape = c.cfg.ScrapeEvery
-	eng.OnBarrier(func(now sim.Time) {
+	fab.Engine().OnBarrier(func(now sim.Time) {
 		for now >= c.nextScrape {
 			c.scrape()
 			c.nextScrape += c.cfg.ScrapeEvery
@@ -162,7 +142,7 @@ func newController(fab *fabric.Net, cfg Config) *Controller {
 	c := &Controller{
 		cfg:       cfg,
 		fab:       fab,
-		sim:       fab.Sim,
+		eng:       fab.Engine(),
 		inv:       NewInventory(g),
 		bus:       NewBus(cfg.EventLog),
 		anomalies: make(map[string]Anomaly),
@@ -226,14 +206,7 @@ func (c *Controller) Inventory() *Inventory { return c.inv }
 // Config returns the effective configuration.
 func (c *Controller) Config() Config { return c.cfg }
 
-func (c *Controller) armScrape() {
-	c.sim.After(c.cfg.ScrapeEvery, func() {
-		c.scrape()
-		c.armScrape()
-	})
-}
-
-// onLinkState runs in the simulation goroutine (fabric hook).
+// onLinkState runs in barrier context (fabric hook).
 func (c *Controller) onLinkState(link int, up bool) {
 	lk := c.inv.Links[link]
 	kind := EventLinkDown
@@ -248,13 +221,13 @@ func (c *Controller) onLinkState(link int, up bool) {
 	}
 	c.mu.Unlock()
 	c.bus.Publish(Event{
-		Time: c.sim.Now(), Kind: kind, Link: link,
+		Time: c.eng.Now(), Kind: kind, Link: link,
 		Device: lk.A,
 		Detail: fmt.Sprintf("%s:%d <-> %s:%d", lk.A, lk.APort, lk.B, lk.BPort),
 	})
 }
 
-// onReachUpdate runs in the simulation goroutine (fabric hook). dev is an
+// onReachUpdate runs in barrier context (fabric hook). dev is an
 // FE1 index on the Clos fabric and a node index on graph fabrics; reachID
 // resolves the right label for either.
 func (c *Controller) onReachUpdate(dev, reachable int) {
@@ -262,17 +235,17 @@ func (c *Controller) onReachUpdate(dev, reachable int) {
 	c.stats.ReachUpdates++
 	c.mu.Unlock()
 	c.bus.Publish(Event{
-		Time: c.sim.Now(), Kind: EventReachUpdate, Link: -1,
+		Time: c.eng.Now(), Kind: EventReachUpdate, Link: -1,
 		Device: c.reachID(dev),
 		Detail: fmt.Sprintf("advertises %d/%d FAs", reachable, c.numFA),
 	})
 }
 
-// scrape runs in the simulation goroutine: it snapshots every directed
+// scrape runs in barrier context: it snapshots every directed
 // link's counters into its series, refreshes the aggregate snapshot, and
 // re-runs the anomaly detector.
 func (c *Controller) scrape() {
-	now := c.sim.Now()
+	now := c.eng.Now()
 	c.mu.Lock()
 	var queued uint64
 	for i := 0; i < c.fab.NumLinks(); i++ {

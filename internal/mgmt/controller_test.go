@@ -6,20 +6,21 @@ import (
 
 	"stardust/internal/fabric"
 	"stardust/internal/netsim"
+	"stardust/internal/parsim"
 	"stardust/internal/sim"
 	"stardust/internal/topo"
 )
 
-// newManagedFabric builds a K=4 fabric with an attached controller and a
-// steady background load.
-func newManagedFabric(t *testing.T, cfg Config) (*sim.Simulator, *fabric.Net, *topo.Clos, *Controller) {
+// newManagedFabric builds a K=4 fabric on a one-shard engine with an
+// attached controller and a steady background load.
+func newManagedFabric(t *testing.T, cfg Config) (*parsim.Engine, *fabric.Net, *topo.Clos, *Controller) {
 	t.Helper()
 	cl, err := fabric.ClosFor(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sim.New()
-	fab, err := fabric.New(s, fabric.DefaultConfig(10e9, sim.Microsecond, 1), cl)
+	eng := parsim.New(parsim.Config{Shards: 1, Lookahead: sim.Microsecond})
+	fab, err := fabric.New(eng, fabric.DefaultConfig(10e9, sim.Microsecond, 1), cl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,6 +28,7 @@ func newManagedFabric(t *testing.T, cfg Config) (*sim.Simulator, *fabric.Net, *t
 	// Sustained permutation load: every FA sends a 512B cell every 2us.
 	for fa := 0; fa < cl.NumFA; fa++ {
 		fa := fa
+		s := eng.Shard(fab.ShardOfFA(fa)).Sim()
 		var inject func()
 		inject = func() {
 			c := netsim.NewPacket()
@@ -36,12 +38,12 @@ func newManagedFabric(t *testing.T, cfg Config) (*sim.Simulator, *fabric.Net, *t
 		}
 		s.At(0, inject)
 	}
-	return s, fab, cl, ctl
+	return eng, fab, cl, ctl
 }
 
 func TestControllerScrapesTelemetry(t *testing.T) {
-	s, fab, _, ctl := newManagedFabric(t, Config{ScrapeEvery: 100 * sim.Microsecond})
-	s.RunUntil(sim.Millisecond)
+	eng, fab, _, ctl := newManagedFabric(t, Config{ScrapeEvery: 100 * sim.Microsecond})
+	eng.Run(sim.Millisecond)
 	st := ctl.Stats()
 	if st.Scrapes < 9 {
 		t.Fatalf("only %d scrapes in 1ms at 100us period", st.Scrapes)
@@ -81,7 +83,7 @@ func TestControllerScrapesTelemetry(t *testing.T) {
 }
 
 func TestControllerEventsOnFailureAndRecovery(t *testing.T) {
-	s, fab, cl, ctl := newManagedFabric(t, Config{ScrapeEvery: 100 * sim.Microsecond})
+	eng, fab, cl, ctl := newManagedFabric(t, Config{ScrapeEvery: 100 * sim.Microsecond})
 	// Fail an FA-FE1 link mid-run, restore it later.
 	victim := -1
 	for i, lk := range cl.Links {
@@ -90,9 +92,9 @@ func TestControllerEventsOnFailureAndRecovery(t *testing.T) {
 			break
 		}
 	}
-	s.At(200*sim.Microsecond, func() { fab.FailLink(victim) })
-	s.At(600*sim.Microsecond, func() { fab.RestoreLink(victim) })
-	s.RunUntil(sim.Millisecond)
+	eng.At(200*sim.Microsecond, func() { fab.FailLink(victim) })
+	eng.At(600*sim.Microsecond, func() { fab.RestoreLink(victim) })
+	eng.Run(sim.Millisecond)
 
 	evs := ctl.Bus().Since(0, 0)
 	var kinds []string
@@ -140,15 +142,15 @@ func TestControllerEventsOnFailureAndRecovery(t *testing.T) {
 }
 
 func TestControllerReachabilityHoleAnomaly(t *testing.T) {
-	s, fab, cl, ctl := newManagedFabric(t, Config{ScrapeEvery: 100 * sim.Microsecond})
+	eng, fab, cl, ctl := newManagedFabric(t, Config{ScrapeEvery: 100 * sim.Microsecond})
 	// Isolate FA0: every uplink down -> a reachability hole the §5.9
 	// self-healing cannot repair.
 	for i, lk := range cl.Links {
 		if lk.A.Kind == topo.KindFA && lk.A.Index == 0 {
-			s.At(200*sim.Microsecond, func() { fab.FailLink(i) })
+			eng.At(200*sim.Microsecond, func() { fab.FailLink(i) })
 		}
 	}
-	s.RunUntil(sim.Millisecond)
+	eng.Run(sim.Millisecond)
 	anoms := ctl.Anomalies()
 	found := false
 	for _, a := range anoms {
@@ -176,7 +178,7 @@ func TestControllerReachabilityHoleAnomaly(t *testing.T) {
 			fab.RestoreLink(i)
 		}
 	}
-	s.RunUntil(2 * sim.Millisecond)
+	eng.Run(2 * sim.Millisecond)
 	for _, a := range ctl.Anomalies() {
 		if a.Kind == AnomalyReachHole {
 			t.Fatalf("reachability-hole anomaly survived healing: %+v", a)
@@ -243,8 +245,8 @@ func TestSprayImbalanceDetector(t *testing.T) {
 // A healthy balanced fabric must not raise spray-imbalance findings under
 // its normal load — the detector's false-positive guard.
 func TestNoSprayImbalanceOnHealthyFabric(t *testing.T) {
-	s, _, _, ctl := newManagedFabric(t, Config{ScrapeEvery: 100 * sim.Microsecond})
-	s.RunUntil(2 * sim.Millisecond)
+	eng, _, _, ctl := newManagedFabric(t, Config{ScrapeEvery: 100 * sim.Microsecond})
+	eng.Run(2 * sim.Millisecond)
 	for _, a := range ctl.Anomalies() {
 		if a.Kind == AnomalySprayImbalance {
 			t.Fatalf("healthy fabric flagged: %+v", a)
@@ -270,7 +272,7 @@ func TestFabricRunAdvanceAndChaos(t *testing.T) {
 	if st.LinkFailures == 0 || st.LinkRecovers == 0 {
 		t.Fatalf("chaos schedule idle after 10ms: %+v", st)
 	}
-	if fr.Sim.Now() != 10*sim.Millisecond {
-		t.Fatalf("sim at %v after ten 1ms steps", fr.Sim.Now())
+	if fr.Eng.Now() != 10*sim.Millisecond {
+		t.Fatalf("sim at %v after ten 1ms steps", fr.Eng.Now())
 	}
 }

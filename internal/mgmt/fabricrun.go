@@ -35,22 +35,20 @@ type FabricRunConfig struct {
 	HealAfter sim.Time // default 5ms
 	// Seed feeds the traffic and chaos RNGs.
 	Seed int64 // default 1
-	// Shards, when > 1, runs the fabric on a parsim engine partitioned
-	// across that many event loops: telemetry scrapes and chaos run in
-	// barrier context (quantized to window boundaries), so the run is
-	// deterministic for any shard count > 1 at the same seed.
+	// Shards is the number of event loops of the parsim engine the fabric
+	// runs on (values below 1 mean one). Telemetry scrapes and chaos run
+	// in barrier context (quantized to window boundaries), so the run is
+	// byte-identical at every shard count for the same seed.
 	Shards int
 	// TransportHostsPer, when > 0, lays the sharded Stardust transport
 	// over the fabric with that many hosts per FA, driven by a permutation
 	// of long-running TCP flows instead of raw cell injectors, and scrapes
-	// its counters at the window barrier (TransportMonitor). Forces the
-	// sharded engine (Shards floors at 1).
+	// its counters at the window barrier (TransportMonitor).
 	TransportHostsPer int
 	// Telem, when > 0, records the run as a durable STREC1 telemetry
 	// stream: one window per Telem of simulated time (rounded up to whole
-	// lookahead windows on the sharded engine), scraped in barrier
-	// context, buffered in memory for download, and fed to the online
-	// analyzer pipeline.
+	// lookahead windows), scraped in barrier context, buffered in memory
+	// for download, and fed to the online analyzer pipeline.
 	Telem sim.Time
 	// TelemCap caps the in-memory stream buffer (0 means 64 MiB). When
 	// the cap is hit the stream stops growing and the recorder latches
@@ -76,19 +74,21 @@ func (c FabricRunConfig) withDefaults() FabricRunConfig {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
+	if c.Shards < 1 {
+		c.Shards = 1
+	}
 	return c
 }
 
 // FabricRun is a continuously running fabric under management: the
-// simulator, the fabric, its controller, a background traffic generator
-// and the chaos schedule. The daemon advances it in steps from a single
+// engine, the fabric, its controller, a background traffic generator and
+// the chaos schedule. The daemon advances it in steps from a single
 // goroutine; Advance serializes callers.
 type FabricRun struct {
 	Cfg   FabricRunConfig
-	Sim   *sim.Simulator
 	Fab   *fabric.Net
 	Ctl   *Controller
-	Eng   *parsim.Engine             // non-nil when the run is sharded
+	Eng   *parsim.Engine
 	Net   *netsim.ShardedStardustNet // non-nil when the transport overlay is on
 	Trans *TransportMonitor          // barrier-scraped transport telemetry
 
@@ -137,40 +137,17 @@ func NewFabricRun(cfg FabricRunConfig) (*FabricRun, error) {
 		fcfg.LinkRate = netsim.Bps(float64(fcfg.LinkRate) * 1.05)
 	}
 
-	var (
-		s   *sim.Simulator
-		fab *fabric.Net
-		eng *parsim.Engine
-	)
-	if cfg.Shards > 1 || cfg.TransportHostsPer > 0 {
-		// The transport overlay always runs on the engine (its barrier is
-		// what makes the scrape race-free), even at one shard.
-		shards := cfg.Shards
-		if shards < 1 {
-			shards = 1
-		}
-		eng = parsim.New(parsim.Config{Shards: shards, Lookahead: fcfg.LinkDelay})
-		if fab, err = fabric.NewSharded(eng, fcfg, g, nil); err != nil {
-			return nil, err
-		}
-		s = fab.Sim
-	} else {
-		s = sim.New()
-		if fab, err = fabric.New(s, fcfg, g); err != nil {
-			return nil, err
-		}
+	eng := parsim.New(parsim.Config{Shards: cfg.Shards, Lookahead: fcfg.LinkDelay})
+	fab, err := fabric.New(eng, fcfg, g, nil)
+	if err != nil {
+		return nil, err
 	}
 	r := &FabricRun{
 		Cfg: cfg,
-		Sim: s,
 		Fab: fab,
 		Eng: eng,
+		Ctl: Attach(fab, cfg.Controller),
 		rng: rand.New(rand.NewSource(cfg.Seed ^ 0x51d)),
-	}
-	if eng != nil {
-		r.Ctl = AttachSharded(fab, cfg.Controller)
-	} else {
-		r.Ctl = Attach(fab, cfg.Controller)
 	}
 	if cfg.TransportHostsPer > 0 {
 		// The transport overlay is the load source: TCP flows over the
@@ -192,29 +169,20 @@ func NewFabricRun(cfg FabricRunConfig) (*FabricRun, error) {
 				gap = sim.Nanosecond
 			}
 			// Stagger starts so FAs do not inject in lockstep. The injector
-			// lives on its FA's shard (sharded mode) or the solo loop.
+			// lives on its FA's shard.
 			fab.NewInjector(fa, gap, cfg.CellBytes, 0, -1).Start(sim.Time(fa) * gap / sim.Time(numFA))
 		}
 	}
 	if cfg.FailEvery > 0 {
-		if eng != nil {
-			// Chaos runs in barrier context (link state spans shards);
-			// window quantization keeps it deterministic per shard count.
-			next := cfg.FailEvery
-			eng.OnBarrier(func(now sim.Time) {
-				for now >= next {
-					r.chaosStep()
-					next += cfg.FailEvery
-				}
-			})
-		} else {
-			var chaos func()
-			chaos = func() {
+		// Chaos runs in barrier context (link state spans shards); window
+		// quantization keeps it deterministic per shard count.
+		next := cfg.FailEvery
+		eng.OnBarrier(func(now sim.Time) {
+			for now >= next {
 				r.chaosStep()
-				s.After(cfg.FailEvery, chaos)
+				next += cfg.FailEvery
 			}
-			s.After(cfg.FailEvery, chaos)
-		}
+		})
 	}
 	if cfg.Telem > 0 {
 		if err := r.buildTelemetry(g); err != nil {
@@ -226,17 +194,13 @@ func NewFabricRun(cfg FabricRunConfig) (*FabricRun, error) {
 
 // buildTelemetry wires the STREC1 recorder over the live fabric: a
 // capped in-memory stream buffer (the download endpoint serves it), the
-// scrape attached in barrier context (sharded) or as a periodic event
-// (solo), and the default online analyzer pipeline feeding the findings
-// log the NDJSON tail endpoint reads.
+// scrape attached in barrier context, and the default online analyzer
+// pipeline feeding the findings log the NDJSON tail endpoint reads.
 func (r *FabricRun) buildTelemetry(g topo.Graph) error {
-	every := r.Cfg.Telem
-	if r.Eng != nil {
-		// Scrape instants must land exactly on window barriers so the
-		// captured state is quiescent and shard-count independent.
-		look := r.Eng.Lookahead()
-		every = (every + look - 1) / look * look
-	}
+	// Scrape instants must land exactly on window barriers so the captured
+	// state is quiescent and shard-count independent.
+	look := r.Eng.Lookahead()
+	every := (r.Cfg.Telem + look - 1) / look * look
 	cl, isClos := g.(*topo.Clos)
 	hdr := telemetry.StreamHeader{
 		Format:   telemetry.Format,
@@ -283,11 +247,7 @@ func (r *FabricRun) buildTelemetry(g topo.Graph) error {
 		meta = telemetry.MetaFor(cl) // legacy "FA3->FE11" direction labels
 	}
 	r.Findings = r.Rec.Observe(meta, stages...)
-	if r.Eng != nil {
-		r.Rec.AttachEngine(r.Eng)
-	} else {
-		r.Rec.AttachSim(r.Sim)
-	}
+	r.Rec.AttachEngine(r.Eng)
 	return nil
 }
 
@@ -310,14 +270,9 @@ func (r *FabricRun) chaosStep() {
 		return
 	}
 	r.Fab.FailLink(pick)
-	i := pick
-	if r.Eng != nil {
-		// Heal in barrier context too: RestoreLink touches both endpoint
-		// shards.
-		r.Eng.At(r.Eng.Now()+r.Cfg.HealAfter, func() { r.Fab.RestoreLink(i) })
-	} else {
-		r.Sim.After(r.Cfg.HealAfter, func() { r.Fab.RestoreLink(i) })
-	}
+	// Heal in barrier context too: RestoreLink touches both endpoint
+	// shards.
+	r.Eng.At(r.Eng.Now()+r.Cfg.HealAfter, func() { r.Fab.RestoreLink(pick) })
 }
 
 // Advance runs the simulation d further. It serializes concurrent
@@ -325,11 +280,7 @@ func (r *FabricRun) chaosStep() {
 func (r *FabricRun) Advance(d sim.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.Eng != nil {
-		r.Eng.Run(r.Eng.Now() + d)
-		return
-	}
-	r.Sim.RunUntil(r.Sim.Now() + d)
+	r.Eng.Run(r.Eng.Now() + d)
 }
 
 // String describes the run for logs.

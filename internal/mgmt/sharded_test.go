@@ -10,16 +10,13 @@ import (
 // Tests for the sharded management path: the telemetry scrape crossing
 // every shard's queues must be synchronized by the parsim window barrier.
 //
-// The latent race this guards against: Controller.scrape reads
+// The race this guards against: Controller.scrape reads
 // Queue.FwdBytes/occupancy of every directed link while, in a sharded
 // fabric, those counters are being written by the shard goroutines
-// mid-window. Before the barrier-scrape fix (Attach scheduling the scrape
-// as an ordinary simulator event on shard 0), TestShardedScrapeRaceFree
-// fails under -race the moment the fabric spans more than one shard; with
-// AttachSharded the scrape runs in barrier context — every shard
-// quiescent — and the race is structurally impossible. Attach now panics
-// on a sharded fabric (TestAttachPanicsOnShardedFabric) so the racy
-// configuration cannot be reintroduced silently.
+// mid-window. A scrape scheduled as an ordinary simulator event on shard
+// 0 fails TestShardedScrapeRaceFree under -race the moment the fabric
+// spans more than one shard; Attach runs the scrape in barrier context —
+// every shard quiescent — so the race is structurally impossible.
 
 func newShardedRun(t *testing.T, shards int, seed int64) *FabricRun {
 	t.Helper()
@@ -83,33 +80,22 @@ func TestShardedScrapeRaceFree(t *testing.T) {
 
 // TestShardedFabricRunDeterministic: with chaos and scrapes quantized to
 // window boundaries, the same seed must produce identical management
-// statistics at different shard counts.
+// statistics at every shard count, one included.
 func TestShardedFabricRunDeterministic(t *testing.T) {
 	run := func(shards int) FabricStats {
 		fr := newShardedRun(t, shards, 7)
 		fr.Advance(3 * sim.Millisecond)
 		return fr.Ctl.Stats()
 	}
-	a, b := run(2), run(4)
-	if a != b {
-		t.Fatalf("sharded FabricRun diverged across shard counts:\n  2: %+v\n  4: %+v", a, b)
+	a := run(1)
+	for _, shards := range []int{2, 4} {
+		if b := run(shards); a != b {
+			t.Fatalf("FabricRun diverged across shard counts:\n  1: %+v\n  %d: %+v", a, shards, b)
+		}
 	}
 	if a.LinkFailures == 0 || a.Scrapes == 0 {
 		t.Fatalf("degenerate run: %+v", a)
 	}
-}
-
-// Attach on a sharded fabric must refuse loudly: scheduling the scrape as
-// a plain simulator event is exactly the data race the barrier exists to
-// prevent.
-func TestAttachPanicsOnShardedFabric(t *testing.T) {
-	fr := newShardedRun(t, 2, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Attach accepted a sharded fabric")
-		}
-	}()
-	Attach(fr.Fab, Config{})
 }
 
 // The sharded fabric's reach updates are delivered through the barrier in

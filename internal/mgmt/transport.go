@@ -23,7 +23,7 @@ type TransportStats struct {
 
 // TransportMonitor scrapes a ShardedStardustNet's counters in the parsim
 // engine's barrier context — every shard quiescent at a synchronized
-// instant — exactly like the fabric controller's AttachSharded path, so a
+// instant — exactly like the fabric controller's scrape (Attach), so a
 // live sharded transport is race-free under -race and its telemetry is
 // identical at every shard count.
 type TransportMonitor struct {
@@ -78,9 +78,6 @@ func (m *TransportMonitor) Stats() TransportStats {
 // per host), replacing the raw cell injectors as the load source. Called
 // from NewFabricRun before the engine first advances (barrier context).
 func (r *FabricRun) buildTransport(hostsPer int) error {
-	if r.Eng == nil {
-		return fmt.Errorf("mgmt: the transport overlay needs the sharded engine (Shards >= 1)")
-	}
 	// The overlay rides the Clos fabric: its credit scheduler is sized by
 	// the uniform per-FA uplink count, and NewFabricRun rejects other
 	// topologies before building it.

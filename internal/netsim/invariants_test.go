@@ -22,7 +22,8 @@ import (
 // exactly. The same program runs at shards ∈ {1, 2, 4} and the canonical
 // digests must be byte-identical — the transport extension of the fabric
 // determinism contract, verified rather than assumed — and the loss-free
-// variant is cross-checked against the solo StardustNet's delivered set.
+// variant is cross-checked against the fluid StardustNet's per-flow
+// delivery order.
 
 // flowRec records one flow's deliveries. The terminal route hop runs
 // pinned to the destination host's shard, so no locking is needed; the
@@ -118,7 +119,7 @@ func runTransportProperty(t *testing.T, prog transportProgram, shards int) trans
 	look := sim.Microsecond
 	eng := parsim.New(parsim.Config{Shards: shards, Lookahead: look})
 	fcfg := fabric.DefaultConfig(netsim.Bps(10e9*1.05), look, prog.seed)
-	fab, err := fabric.NewSharded(eng, fcfg, cl, nil)
+	fab, err := fabric.New(eng, fcfg, cl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,12 +322,12 @@ func TestTransportPropertyInvariants(t *testing.T) {
 	}
 }
 
-// TestShardedTransportMatchesSolo cross-checks the sharded transport
-// against the solo StardustNet over the solo per-link fabric: with no
-// failures both must deliver every injected packet, per flow, in order —
-// the delivered sets must be identical (the two engines break
-// same-instant ties differently, so only the sets and per-flow order are
-// comparable, not event interleavings).
+// TestShardedTransportMatchesSolo cross-checks the sharded transport over
+// the per-link fabric against the independent fluid StardustNet (the
+// Appendix G model on one event loop): with no failures both must deliver
+// every injected packet, per flow, in the same order. The two models'
+// timing differs, so only the per-flow delivery order is comparable, not
+// event interleavings.
 func TestShardedTransportMatchesSolo(t *testing.T) {
 	const seed = 11
 	const k = 4
@@ -368,25 +369,20 @@ func TestShardedTransportMatchesSolo(t *testing.T) {
 		return got
 	}
 
-	// Solo reference: StardustNet over the classic single-loop fabric.
+	// Independent reference: the fluid Appendix G StardustNet on a single
+	// event loop.
 	s := sim.New()
-	soloFab, err := fabric.New(s, fabric.DefaultConfig(netsim.Bps(10e9*1.05), sim.Microsecond, seed), cl)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sdc := netsim.DefaultStardust(10e9, cl.FAUplinks, sim.Microsecond)
 	solo, err := netsim.NewStardustNet(s, sdc, hosts, hostsPer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	soloFab.OnDeliver = solo.DeliverCell
-	solo.UseFabric(soloFab)
 	soloGot := program(solo.Route, func(_ int, at sim.Time, fire func()) { s.At(at, fire) })
 	s.RunUntil(20 * sim.Millisecond)
 
 	// Sharded run of the same program at 4 shards.
 	eng := parsim.New(parsim.Config{Shards: 4, Lookahead: sim.Microsecond})
-	shFab, err := fabric.NewSharded(eng, fabric.DefaultConfig(netsim.Bps(10e9*1.05), sim.Microsecond, seed), cl, nil)
+	shFab, err := fabric.New(eng, fabric.DefaultConfig(netsim.Bps(10e9*1.05), sim.Microsecond, seed), cl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,10 +17,11 @@ import (
 //   - cell conservation (delivered + dropped == sent);
 //   - no leaked reasmState: every VOQ's flight ring drains empty.
 
-// scriptedFabric implements CellFabric with a byte program: each injected
+// scriptedFabric is a fabric crossing driven by a byte program: each
 // cell consumes one op. op ≡ 0 (mod 8) loses the cell; anything else
-// delivers it after (op mod 32) · 7µs, so later cells routinely overtake
-// earlier ones and whole packets interleave at the destination.
+// hands it to the destination adapter after (op mod 32) · 7µs, so later
+// cells routinely overtake earlier ones and whole packets interleave at
+// the destination.
 type scriptedFabric struct {
 	s       *sim.Simulator
 	net     *StardustNet
@@ -30,7 +31,8 @@ type scriptedFabric struct {
 	dropped uint64
 }
 
-func (f *scriptedFabric) Inject(c *Packet, src, dst int) {
+// Receive implements Handler.
+func (f *scriptedFabric) Receive(c *Packet) {
 	f.sent++
 	var op byte
 	if len(f.prog) > 0 {
@@ -43,10 +45,8 @@ func (f *scriptedFabric) Inject(c *Packet, src, dst int) {
 		return
 	}
 	delay := sim.Time(op%32) * 7 * sim.Microsecond
-	f.s.After(delay, func() { f.net.DeliverCell(c) })
+	f.s.After(delay, func() { f.net.reassemble(c) })
 }
-
-func (f *scriptedFabric) Drops() uint64 { return f.dropped }
 
 func FuzzReassembly(f *testing.F) {
 	f.Add([]byte{1})                                 // every cell delivered, fixed small skew
@@ -61,7 +61,7 @@ func FuzzReassembly(f *testing.F) {
 			t.Fatal(err)
 		}
 		fab := &scriptedFabric{s: s, net: n, prog: prog}
-		n.UseFabric(fab)
+		n.fabric = fab
 
 		// Interleaved flows, including a same-FA pair, with sizes drawn
 		// from the program so fragmentation counts vary.

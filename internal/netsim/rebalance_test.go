@@ -64,7 +64,7 @@ func runTransportRebalance(t *testing.T, seed int64, shards, failN int) (transpo
 	hosts := cl.NumFA * hostsPer
 	look := sim.Microsecond
 	eng := parsim.New(parsim.Config{Shards: shards, Lookahead: look})
-	fab, err := fabric.NewSharded(eng, fabric.DefaultConfig(netsim.Bps(10e9*1.05), look, seed), cl, nil)
+	fab, err := fabric.New(eng, fabric.DefaultConfig(netsim.Bps(10e9*1.05), look, seed), cl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

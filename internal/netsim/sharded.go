@@ -45,12 +45,16 @@ import (
 )
 
 // ShardedCellFabric is the fabric surface the sharded transport builds
-// on: cell injection plus the shard-pinning contract of a fabric built
-// with fabric.NewSharded. *fabric.Net implements it.
+// on: cell injection plus the shard-pinning contract of a fabric built on
+// a parsim engine. *fabric.Net implements it.
 type ShardedCellFabric interface {
-	CellFabric
-	// Engine returns the parsim engine the fabric is partitioned over
-	// (nil means the fabric is solo and cannot carry a sharded transport).
+	// Inject carries one cell from the source edge device to the
+	// destination edge device; delivered cells reach the SetEgress
+	// endpoint, lost ones are Released.
+	Inject(c *Packet, srcFA, dstFA int)
+	// Drops counts the cells lost inside the fabric.
+	Drops() uint64
+	// Engine returns the parsim engine the fabric is partitioned over.
 	Engine() *parsim.Engine
 	// NumFA returns the number of edge Fabric Adapters the fabric fronts.
 	NumFA() int
@@ -148,7 +152,7 @@ type ShardedStardustNet struct {
 }
 
 // NewShardedStardustNet builds the sharded substrate over fab (a fabric
-// built with fabric.NewSharded) for hosts end hosts, hostsPer per edge
+// built with fabric.New) for hosts end hosts, hostsPer per edge
 // Fabric Adapter. The fabric must span hosts/hostsPer FAs and its
 // engine's lookahead must not exceed LinkDelay or CtrlDelay (every
 // cross-shard flow needs at least one window of latency).
@@ -160,9 +164,6 @@ func NewShardedStardustNet(fab ShardedCellFabric, cfg StardustConfig, hosts, hos
 		return nil, fmt.Errorf("netsim: cell too small")
 	}
 	eng := fab.Engine()
-	if eng == nil {
-		return nil, fmt.Errorf("netsim: sharded transport needs a sharded fabric (fabric.NewSharded)")
-	}
 	if look := eng.Lookahead(); cfg.LinkDelay < look || cfg.CtrlDelay < look {
 		return nil, fmt.Errorf("netsim: link delay %d / ctrl delay %d below engine lookahead %d",
 			cfg.LinkDelay, cfg.CtrlDelay, look)
@@ -568,7 +569,7 @@ func (s *sstream) enter(st *sreasm) {
 
 // deliver releases completed packets in ship order; a head-of-line packet
 // whose cells were lost in the fabric is discarded once it outlives the
-// reassembly timer, exactly like the solo net.
+// reassembly timer, exactly like the fluid StardustNet.
 func (s *sstream) deliver() {
 	n := s.net
 	now := s.sh.sm.Now()
@@ -725,7 +726,7 @@ func (v *svoq) release() {
 		// Unused credit on an empty VOQ is forfeited. A negative balance
 		// (overdraft from shipping a packet larger than the final grant)
 		// is kept as debt against future grants — the same pacing rule as
-		// the solo StardustNet, so the two models stay comparable.
+		// the fluid StardustNet, so the two models stay comparable.
 		v.forfeited += v.credit
 		v.credit = 0
 	}

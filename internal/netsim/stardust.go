@@ -67,16 +67,6 @@ func DefaultStardust(hostRate Bps, uplinks int, linkDelay sim.Time) StardustConf
 	}
 }
 
-// CellFabric is a pluggable fabric crossing for cells: a topology-faithful
-// per-link transport (internal/fabric) replacing the fluid trunk+pipe
-// abstraction. Inject carries one cell from the source edge device to the
-// destination edge device; the fabric hands delivered cells to the
-// function it was given (DeliverCell) and Releases lost ones.
-type CellFabric interface {
-	Inject(c *Packet, srcFA, dstFA int)
-	Drops() uint64
-}
-
 // StardustNet models the Stardust data center as a transport substrate:
 // host packets enter a per-flow VOQ at their source Fabric Adapter, wait
 // for credits from the destination port's scheduler, and cross the fabric
@@ -94,15 +84,17 @@ type StardustNet struct {
 	downTrunk []*Queue // per edge device: out of the fabric
 	port      []*Queue // per host: egress port
 	hostUp    []*Queue // per host: NIC into the source FA
-	fabric    *Pipe
-	reasmH    HandlerFunc // shared terminal handler for cells
+	// fabric is the cells' crossing between the trunks: a pipe of
+	// FabricHops link delays. The reassembly tests swap in a lossy,
+	// reordering crossing before creating flows.
+	fabric Handler
+	reasmH HandlerFunc // shared terminal handler for cells
 
 	scheds  []*sched.PortScheduler // per destination host
 	credits []creditDelivery       // per destination host (sim.Action)
 	timers  []*sim.Timer
 	voqs    map[voqKey]*stardustVOQ
 	nextVID uint16
-	fab     CellFabric // nil = fluid trunk model
 
 	// Stats
 	CellsSent      uint64
@@ -111,15 +103,6 @@ type StardustNet struct {
 	VOQDrops       uint64
 	ReasmTimeouts  uint64 // packets discarded by the reassembly timer
 }
-
-// UseFabric routes cells through f instead of the fluid trunk model.
-// Install it before creating flows and point the fabric's delivery
-// callback at DeliverCell.
-func (n *StardustNet) UseFabric(f CellFabric) { n.fab = f }
-
-// DeliverCell is the destination-adapter cell sink for an external
-// CellFabric.
-func (n *StardustNet) DeliverCell(c *Packet) { n.reassemble(c) }
 
 type voqKey struct {
 	src, dst int // host indices
@@ -249,19 +232,12 @@ func (n *StardustNet) TotalDrops() uint64 {
 	for _, q := range n.hostUp {
 		d += q.Drops
 	}
-	if n.fab != nil {
-		d += n.fab.Drops()
-	}
 	return d + n.VOQDrops
 }
 
 // FabricDrops counts drops inside the fabric only (§5.5: must stay zero
-// under credit pacing on a healthy fabric). With an external CellFabric
-// installed it reports that fabric's losses instead of the fluid trunks'.
+// under credit pacing on a healthy fabric).
 func (n *StardustNet) FabricDrops() uint64 {
-	if n.fab != nil {
-		return n.fab.Drops()
-	}
 	var d uint64
 	for _, q := range n.upTrunk {
 		d += q.Drops
@@ -371,7 +347,6 @@ func (v *stardustVOQ) ship(p *Packet) {
 	if n.Cfg.ReasmTimeout > 0 && !v.reasmTmr.Armed() {
 		v.reasmTmr.Arm(n.Cfg.ReasmTimeout, v.reasmFn)
 	}
-	srcFA, dstFA := n.edge(v.key.src), n.edge(v.key.dst)
 	for sent := 0; sent < p.Size; sent += payload {
 		chunk := payload
 		if sent+chunk > p.Size {
@@ -381,10 +356,6 @@ func (v *stardustVOQ) ship(p *Packet) {
 		c.Size = chunk + n.Cfg.CellHeader
 		c.Flow = state
 		n.CellsSent++
-		if n.fab != nil {
-			n.fab.Inject(c, srcFA, dstFA)
-			continue
-		}
 		c.SetRoute(v.cellRoute)
 		c.SendOn()
 	}

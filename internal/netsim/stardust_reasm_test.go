@@ -6,16 +6,15 @@ import (
 	"stardust/internal/sim"
 )
 
-// blackholeFabric implements CellFabric by losing every cell — the
+// blackholeFabric is a fabric crossing that loses every cell — the
 // worst-case failed-link scenario where no cell of a packet survives.
 type blackholeFabric struct{ dropped uint64 }
 
-func (b *blackholeFabric) Inject(c *Packet, src, dst int) {
+// Receive implements Handler.
+func (b *blackholeFabric) Receive(c *Packet) {
 	b.dropped++
 	c.Release()
 }
-
-func (b *blackholeFabric) Drops() uint64 { return b.dropped }
 
 // A packet whose cells are ALL lost must still be discarded by the
 // reassembly timer even though no later completion ever calls into the
@@ -28,7 +27,7 @@ func TestReasmTimerFiresWithoutLaterCompletions(t *testing.T) {
 		t.Fatal(err)
 	}
 	bh := &blackholeFabric{}
-	n.UseFabric(bh)
+	n.fabric = bh
 
 	var got Counter
 	route := append(n.Route(0, 2), &got)
@@ -49,8 +48,8 @@ func TestReasmTimerFiresWithoutLaterCompletions(t *testing.T) {
 	if n.ReasmTimeouts != 1 {
 		t.Fatalf("ReasmTimeouts = %d, want 1 (timer-driven discard)", n.ReasmTimeouts)
 	}
-	if n.FabricDrops() != bh.dropped {
-		t.Fatalf("FabricDrops = %d, want %d", n.FabricDrops(), bh.dropped)
+	if n.CellsSent != bh.dropped {
+		t.Fatalf("black hole swallowed %d of %d cells sent", bh.dropped, n.CellsSent)
 	}
 }
 

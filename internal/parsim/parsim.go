@@ -46,10 +46,6 @@ type Config struct {
 	// may take place less than one lookahead after the action that caused
 	// it. It must be positive.
 	Lookahead sim.Time
-	// Serial forces the shards' windows to run one after another on the
-	// calling goroutine instead of in parallel. The results are identical
-	// (a test asserts it); the switch exists for debugging and profiling.
-	Serial bool
 }
 
 // xmsg is one cross-shard event in flight: it is scheduled into the
@@ -121,7 +117,6 @@ type control struct {
 // Engine owns the shards and the window loop.
 type Engine struct {
 	look     sim.Time
-	serial   bool
 	shards   []*Shard
 	hooks    []func(now sim.Time)
 	ctls     []control
@@ -138,7 +133,7 @@ func New(cfg Config) *Engine {
 	if cfg.Lookahead <= 0 {
 		panic("parsim: lookahead must be positive")
 	}
-	e := &Engine{look: cfg.Lookahead, serial: cfg.Serial}
+	e := &Engine{look: cfg.Lookahead}
 	e.shards = make([]*Shard, cfg.Shards)
 	for i := range e.shards {
 		e.shards[i] = &Shard{
@@ -362,7 +357,7 @@ func (e *Engine) StepOwned(owned []bool, emit func(src, dst int, m Mail)) sim.Ti
 			nOwned++
 		}
 	}
-	if nOwned > 1 && !e.serial {
+	if nOwned > 1 {
 		var wg sync.WaitGroup
 		for i, s := range e.shards {
 			if !owned[i] {
@@ -415,7 +410,7 @@ func (e *Engine) StepOwned(owned []bool, emit func(src, dst int, m Mail)) sim.Ti
 
 func (e *Engine) advance(until sim.Time, stopWhenQuiet bool) {
 	until = e.ceil(until)
-	parallel := len(e.shards) > 1 && !e.serial
+	parallel := len(e.shards) > 1
 
 	// Workers live for one advance call, not for the Engine: persistent
 	// workers would need an explicit Close lifecycle (an abandoned Engine

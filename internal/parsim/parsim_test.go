@@ -37,10 +37,10 @@ func (n *ringNode) Act(arg uint64) {
 
 // runRing circulates tokens over `nodes` ring nodes split across shards
 // and returns the per-node digests.
-func runRing(t *testing.T, shards, nodeCount int, serial bool) []uint64 {
+func runRing(t *testing.T, shards, nodeCount int) []uint64 {
 	t.Helper()
 	const look = sim.Microsecond
-	eng := New(Config{Shards: shards, Lookahead: look, Serial: serial})
+	eng := New(Config{Shards: shards, Lookahead: look})
 	assign := make([]int, nodeCount)
 	for i := range assign {
 		assign[i] = i * shards / nodeCount
@@ -73,17 +73,16 @@ func runRing(t *testing.T, shards, nodeCount int, serial bool) []uint64 {
 }
 
 // The flagship property: the same model produces byte-identical state at
-// every shard count, parallel or serial.
+// every shard count. One shard runs its windows inline on the calling
+// goroutine and more run them in parallel, so this also compares serial
+// against parallel execution.
 func TestRingDeterministicAcrossShardCounts(t *testing.T) {
-	ref := runRing(t, 1, 6, false)
+	ref := runRing(t, 1, 6)
 	for _, shards := range []int{2, 3, 4, 6} {
-		for _, serial := range []bool{false, true} {
-			got := runRing(t, shards, 6, serial)
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Fatalf("shards=%d serial=%v: node %d digest %x, want %x",
-						shards, serial, i, got[i], ref[i])
-				}
+		got := runRing(t, shards, 6)
+		for i := range ref {
+			if got[i] != ref[i] {
+				t.Fatalf("shards=%d: node %d digest %x, want %x", shards, i, got[i], ref[i])
 			}
 		}
 	}

@@ -18,12 +18,11 @@ func htsimConfig(c engine.Context) experiments.HtsimConfig {
 	cfg.StardustCredit = c.Params.Int64("credit", 0)
 	cfg.StardustSpeedup = c.Params.Float("speedup", 0)
 	cfg.FullFabric = c.Params.Bool("fabric", false)
-	if cfg.FullFabric {
-		// Every fabric=true run goes through the sharded transport so the
-		// -shards flag scales it across cores; the result stream is
-		// byte-identical at any shard count for the same seed.
-		cfg.Shards = effectiveShards(c)
-	}
+	// Every run over the per-link fabric (fabric=true, linkload spray,
+	// failures) goes through the sharded transport so the -shards flag
+	// scales it across cores; the result stream is byte-identical at any
+	// shard count for the same seed.
+	cfg.Shards = effectiveShards(c)
 	cfg.Seed = c.Seed
 	return cfg
 }

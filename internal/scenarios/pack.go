@@ -12,10 +12,11 @@ import (
 
 func init() {
 	engine.Register(engine.Scenario{
-		Name:     "pack/fig8a",
-		Desc:     "Fig 8(a) NetFPGA packing throughput vs packet size, four designs",
-		Defaults: engine.Params{"clock_hz": "150000000"},
-		Docs:     map[string]string{"clock_hz": "NetFPGA datapath clock in Hz"},
+		Name:       "pack/fig8a",
+		Desc:       "Fig 8(a) NetFPGA packing throughput vs packet size, four designs",
+		Defaults:   engine.Params{"clock_hz": "150000000"},
+		Fractional: []string{"clock_hz"},
+		Docs:       map[string]string{"clock_hz": "NetFPGA datapath clock in Hz"},
 		Run: func(c engine.Context) (engine.Result, error) {
 			clock := c.Params.Float("clock_hz", 150e6)
 			var res engine.Result
@@ -32,10 +33,11 @@ func init() {
 	})
 
 	engine.Register(engine.Scenario{
-		Name:     "pack/fig8b",
-		Desc:     "Fig 8(b) production-trace throughput mixes",
-		Defaults: engine.Params{"clock_hz": "150000000"},
-		Docs:     map[string]string{"clock_hz": "NetFPGA datapath clock in Hz"},
+		Name:       "pack/fig8b",
+		Desc:       "Fig 8(b) production-trace throughput mixes",
+		Defaults:   engine.Params{"clock_hz": "150000000"},
+		Fractional: []string{"clock_hz"},
+		Docs:       map[string]string{"clock_hz": "NetFPGA datapath clock in Hz"},
 		Run: func(c engine.Context) (engine.Result, error) {
 			clock := c.Params.Float("clock_hz", 150e6)
 			var res engine.Result

@@ -232,6 +232,7 @@ func init() {
 			"k": "4", "shards": "0", "topo": "", "pattern": "", "dur_ms": "5", "load": "0.5", "cell": "512",
 			"hotspot": "1", "rebalance": "false", "timings": "false",
 		},
+		Fractional: []string{"hotspot"},
 		Docs: map[string]string{
 			"k":         "fat-tree K sizing the Clos (comma list sweeps)",
 			"shards":    "event-loop shards; 0 = the -shards flag (comma list sweeps). Explicit values also report the per-shard event split",

@@ -2,10 +2,11 @@ package scenarios
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -291,38 +292,63 @@ func TestSystemAristaVariant(t *testing.T) {
 	}
 }
 
-// On a multicore machine, a sweep at -workers=4 must beat -workers=1 on
-// wall clock. Single-CPU machines cannot show a speedup; skip there.
+// Concurrency meters of the test/overlap scenario: instances in flight
+// now, the peak seen, and the overlap each instance waits for.
+var overlapCur, overlapPeak, overlapWant atomic.Int32
+
+// overlapInstances is test/overlap's instance count.
+const overlapInstances = 6
+
+func init() {
+	engine.Register(engine.Scenario{
+		Name: "test/overlap",
+		Desc: "records peak in-flight instance concurrency",
+		Variants: func(p engine.Params) []engine.Params {
+			out := make([]engine.Params, overlapInstances)
+			for i := range out {
+				out[i] = p.With("i", fmt.Sprint(i))
+			}
+			return out
+		},
+		Run: func(engine.Context) (engine.Result, error) {
+			n := overlapCur.Add(1)
+			for old := overlapPeak.Load(); n > old && !overlapPeak.CompareAndSwap(old, n); old = overlapPeak.Load() {
+			}
+			// Linger until the expected overlap is reached, or a deadline,
+			// so a serializing pool still terminates (and fails the test).
+			deadline := time.Now().Add(2 * time.Second)
+			for overlapPeak.Load() < overlapWant.Load() && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			overlapCur.Add(-1)
+			return engine.Result{}, nil
+		},
+	})
+}
+
+// The worker pool must not serialize a sweep: at -workers=1 exactly one
+// instance is ever in flight, and at -workers=4 four of the six are in
+// flight together. This checks the structure, not the wall clock, so it
+// holds on any host: a core count does not prove parallel capacity.
 func TestParallelSweepSpeedup(t *testing.T) {
-	if runtime.NumCPU() < 2 {
-		t.Skip("single-CPU machine: parallel instances time-share one core")
-	}
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	jobs := []engine.Job{{Scenario: "htsim/permutation",
-		Params: engine.Params{"k": "4", "dur_ms": "5", "warmup_ms": "2"}}}
-	measure := func(workers int) time.Duration {
-		t0 := time.Now()
+	peak := func(workers int) int32 {
+		overlapCur.Store(0)
+		overlapPeak.Store(0)
+		overlapWant.Store(int32(min(workers, overlapInstances)))
 		var buf bytes.Buffer
-		if _, err := engine.Run(engine.Options{Workers: workers, Out: &buf}, jobs); err != nil {
+		if _, err := engine.Run(engine.Options{Workers: workers, Out: &buf}, []engine.Job{{Scenario: "test/overlap"}}); err != nil {
 			t.Fatal(err)
 		}
-		return time.Since(t0)
+		return overlapPeak.Load()
 	}
-	serial := measure(1)
-	parallel := measure(4)
-	// Four independent ~equal instances on >= 2 CPUs must comfortably beat
-	// serial; 0.85 leaves headroom for scheduler noise on loaded machines
-	// while still catching an accidentally serialized worker pool.
-	if float64(parallel) >= 0.85*float64(serial) {
-		t.Fatalf("workers=4 (%v) not faster than workers=1 (%v)", parallel, serial)
+	if got := peak(1); got != 1 {
+		t.Fatalf("workers=1 ran %d instances at once, want 1", got)
+	}
+	if got, want := peak(4), int32(min(4, overlapInstances)); got != want {
+		t.Fatalf("workers=4 ran at most %d of %d instances at once, want %d", got, overlapInstances, want)
 	}
 }
 
-// Every registered scenario must document every parameter it accepts:
-// the -list output and the stardustd scenario API both promise a full
-// table, so an undocumented knob is a regression.
 // TestDistscaleScenario exercises the full distributed path from the
 // scenario layer: fork two real peer processes, serve the run over TCP,
 // and require the byte-identical verdict in the report.
@@ -339,6 +365,9 @@ func TestDistscaleScenario(t *testing.T) {
 	}
 }
 
+// Every registered scenario must document every parameter it accepts:
+// the -list output and the stardustd scenario API both promise a full
+// table, so an undocumented knob is a regression.
 func TestAllParamsDocumented(t *testing.T) {
 	for _, sc := range engine.List() {
 		if strings.HasPrefix(sc.Name, "test/") {

@@ -7,8 +7,10 @@ package scenarios
 // comparison on any of them (the non-Clos graphs by default); fabric/collective drives
 // phase-synchronized ring/tree all-reduce collectives; fabric/openloop
 // offers diurnal bursty storage traffic. Each is a deterministic
-// function of (seed, parameters): one solo event heap per instance, so
-// the output is byte-identical at any -workers/-shards count.
+// function of (seed, parameters): the fabric runs on a parsim engine
+// with -shards event loops and only reads its counters at window
+// barriers, so the output is byte-identical at any -workers/-shards
+// count.
 
 import (
 	"fmt"
@@ -19,25 +21,26 @@ import (
 	"stardust/internal/experiments"
 	"stardust/internal/fabric"
 	"stardust/internal/netsim"
+	"stardust/internal/parsim"
 	"stardust/internal/sim"
 	"stardust/internal/topo"
 	"stardust/internal/workload"
 )
 
-// buildGraphFabric assembles the solo fabric for one topology-pluggable
-// scenario instance: resolved topology, simulator, default 10G config.
-func buildGraphFabric(c engine.Context, k int) (topo.Graph, *sim.Simulator, *fabric.Net, error) {
+// buildGraphFabric assembles the fabric for one topology-pluggable
+// scenario instance: resolved topology, engine, default 10G config.
+func buildGraphFabric(c engine.Context, k int) (topo.Graph, *parsim.Engine, *fabric.Net, error) {
 	g, err := topo.ByName(effectiveTopo(c), k)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	s := sim.New()
 	fcfg := fabric.DefaultConfig(netsim.Bps(10e9), sim.Microsecond, c.Seed)
-	fab, err := fabric.New(s, fcfg, g)
+	eng := parsim.New(parsim.Config{Shards: effectiveShards(c), Lookahead: fcfg.LinkDelay})
+	fab, err := fabric.New(eng, fcfg, g, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return g, s, fab, nil
+	return g, eng, fab, nil
 }
 
 // cellPacing reads the raw-cell parameters shared by the collective and
@@ -50,17 +53,16 @@ func cellPacing(c engine.Context) (cell int, load float64, err error) {
 	return cell, load, nil
 }
 
-// runUntilAccounted advances the solo simulator in fixed quanta until
-// every injected cell has a recorded fate (delivered or dropped) and at
-// least want cells went in, or the deadline passes. The quantized stop
-// instant is deterministic because the counters are.
-func runUntilAccounted(s *sim.Simulator, fab *fabric.Net, want uint64, deadline sim.Time) {
-	const quantum = sim.Microsecond
-	for s.Now() < deadline {
+// runUntilAccounted advances the engine window by window until every
+// injected cell has a recorded fate (delivered or dropped) and at least
+// want cells went in, or the deadline passes. The stop instant is
+// deterministic because the barrier-read counters are.
+func runUntilAccounted(eng *parsim.Engine, fab *fabric.Net, want uint64, deadline sim.Time) {
+	for eng.Now() < deadline {
 		if fab.Injected() >= want && fab.Delivered()+fab.Drops() >= fab.Injected() {
 			return
 		}
-		s.RunUntil(s.Now() + quantum)
+		eng.Run(eng.Now() + eng.Lookahead())
 	}
 }
 
@@ -105,7 +107,7 @@ func init() {
 			return out
 		},
 		Run: func(c engine.Context) (engine.Result, error) {
-			r, err := experiments.GraphLinkLoad(
+			r, err := experiments.GraphLinkLoadOn(effectiveShards(c),
 				c.Params.Str("topo", "sshuffle"),
 				c.Params.Int("k", 8),
 				c.Params.Str("mode", "spray"),
@@ -142,6 +144,7 @@ func init() {
 			"topo": "", "k": "4", "collective": "ring", "kb": "64",
 			"cell": "512", "load": "1",
 		},
+		Fractional: []string{"load"},
 		Docs: map[string]string{
 			"topo":       "topology family sized by k: clos, sshuffle, star, or a full spec string; empty = the -topo flag",
 			"k":          "sizing parameter handed to topo.ByName",
@@ -157,7 +160,7 @@ func init() {
 				return engine.Result{}, fmt.Errorf("collective: %w", err)
 			}
 			bytes := int64(c.Params.Int("kb", 64)) * 1024
-			g, s, fab, err := buildGraphFabric(c, k)
+			g, eng, fab, err := buildGraphFabric(c, k)
 			if err != nil {
 				return engine.Result{}, err
 			}
@@ -175,7 +178,7 @@ func init() {
 			var want uint64
 			var worstPhase sim.Time
 			for _, flows := range phases {
-				start := s.Now()
+				start := eng.Now()
 				for fi, f := range flows {
 					if f.Src == f.Dst {
 						continue
@@ -187,8 +190,8 @@ func init() {
 					j.Start(start + sim.Time(fi)*gap/sim.Time(len(flows)+1))
 					want += uint64(n)
 				}
-				runUntilAccounted(s, fab, want, start+100*sim.Millisecond)
-				if d := s.Now() - start; d > worstPhase {
+				runUntilAccounted(eng, fab, want, start+100*sim.Millisecond)
+				if d := eng.Now() - start; d > worstPhase {
 					worstPhase = d
 				}
 			}
@@ -198,7 +201,7 @@ func init() {
 			if fab.Injected() < want {
 				return engine.Result{}, fmt.Errorf("collective: injected %d of %d scheduled cells before the deadline", fab.Injected(), want)
 			}
-			total := s.Now()
+			total := eng.Now()
 			// Algorithmic bus bandwidth of the all-reduce: 2(n-1)/n of the
 			// payload crosses the fabric per rank.
 			algBW := 2 * float64(numFA-1) / float64(numFA) * float64(bytes) * 8 / (float64(total) / float64(sim.Second))
@@ -227,6 +230,7 @@ func init() {
 			"period_us": "2000", "dur_us": "2000", "cap_kb": "64",
 			"sizes": "storage", "cell": "512", "load": "1",
 		},
+		Fractional: []string{"load", "rate_kfps"},
 		Docs: map[string]string{
 			"topo":      "topology family sized by k: clos, sshuffle, star, or a full spec string; empty = the -topo flag",
 			"k":         "sizing parameter handed to topo.ByName",
@@ -247,7 +251,7 @@ func init() {
 			}
 			capB := int64(c.Params.Int("cap_kb", 64)) * 1024
 			dur := usTime(c.Params.Int("dur_us", 2000))
-			g, s, fab, err := buildGraphFabric(c, k)
+			g, eng, fab, err := buildGraphFabric(c, k)
 			if err != nil {
 				return engine.Result{}, err
 			}
@@ -290,7 +294,7 @@ func init() {
 				j.Start(sim.Time(at * float64(sim.Second)))
 				want += uint64(n)
 			}
-			runUntilAccounted(s, fab, want, dur+100*sim.Millisecond)
+			runUntilAccounted(eng, fab, want, dur+100*sim.Millisecond)
 			if leak := fab.Injected() - fab.Delivered() - fab.Drops(); leak != 0 {
 				return engine.Result{}, fmt.Errorf("openloop: %d cells unaccounted for", leak)
 			}
@@ -303,10 +307,10 @@ func init() {
 			res.Add("injected_cells", float64(fab.Injected()), "")
 			res.Add("delivered_cells", float64(fab.Delivered()), "")
 			res.Add("dropped_cells", float64(fab.Drops()), "")
-			res.Add("drain_us", float64(s.Now())/float64(sim.Microsecond), "us")
+			res.Add("drain_us", float64(eng.Now())/float64(sim.Microsecond), "us")
 			res.Text = fmt.Sprintf("openloop %s on %s: %d flows (%d KB), %d cells injected, %d delivered, %d dropped, drained by %.0fµs\n",
 				c.Params.Str("sizes", "storage"), g.Spec(), len(arrivals), flowBytes/1024,
-				fab.Injected(), fab.Delivered(), fab.Drops(), float64(s.Now())/float64(sim.Microsecond))
+				fab.Injected(), fab.Delivered(), fab.Drops(), float64(eng.Now())/float64(sim.Microsecond))
 			return res, nil
 		},
 	})

@@ -179,6 +179,7 @@ func init() {
 			"hotspot": "1", "fail": "0", "fail_us": "0", "heal_us": "0",
 			"telem_us": "20", "out": "", "peers": "",
 		},
+		Fractional: []string{"hotspot"},
 		Docs: map[string]string{
 			"k":        "fat-tree K sizing the Clos",
 			"shards":   "event-loop shards; 0 = the -shards flag. Never changes the stream bytes",
@@ -265,6 +266,7 @@ func init() {
 			"k": "4", "shards": "0", "topo": "", "dur_us": "200", "load": "0.5", "cell": "512",
 			"hotspot": "1", "fail": "0", "fail_us": "0", "heal_us": "0", "telem_us": "20",
 		},
+		Fractional: []string{"hotspot", "new_load", "new_hotspot"},
 		Docs: map[string]string{
 			"topo":          "inline record: topology family sized by k (clos, sshuffle, star, or a full spec); empty = the -topo flag",
 			"in":            "recorded stream file (empty = record one inline with the k/dur_us/... parameters)",

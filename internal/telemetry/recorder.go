@@ -78,9 +78,8 @@ type RecorderStats struct {
 }
 
 // Recorder scrapes a fabric at a fixed simulated period and exports every
-// scrape as one STREC1 window, flushed in barrier context on a sharded
-// engine (so the stream is byte-identical at any shard count) or as an
-// ordinary self-rescheduling event on a solo simulator. It can feed the
+// scrape as one STREC1 window, flushed in the engine's barrier context
+// (so the stream is byte-identical at any shard count). It can feed the
 // same windows to online analyzers.
 type Recorder struct {
 	emit  *Emitter
@@ -103,8 +102,8 @@ type Recorder struct {
 }
 
 // NewRecorder builds a recorder over net writing through w. every is the
-// scrape period (must be positive; on a sharded engine it should be a
-// multiple of the lookahead so scrape boundaries land on barriers).
+// scrape period (must be positive; it should be a multiple of the
+// engine's lookahead so scrape boundaries land on barriers).
 // sinks may be nil when the header declares zero FAs.
 func NewRecorder(w *Writer, net LinkSource, sinks SinkFunc, every sim.Time) *Recorder {
 	if every <= 0 {
@@ -146,8 +145,8 @@ func (r *Recorder) Observe(meta *Meta, as ...Analyzer) *FindingLog {
 	return r.log
 }
 
-// AttachEngine registers the scrape on a sharded engine's barrier: every
-// shard quiescent, so reading cross-shard counters cannot race and the
+// AttachEngine registers the scrape on the engine's barrier: every shard
+// quiescent, so reading cross-shard counters cannot race and the
 // capture instants (scrape-period boundaries) are identical for every
 // shard count and process placement.
 func (r *Recorder) AttachEngine(eng *parsim.Engine) {
@@ -159,21 +158,8 @@ func (r *Recorder) AttachEngine(eng *parsim.Engine) {
 	})
 }
 
-// AttachSim schedules the scrape as a self-rescheduling event on a solo
-// simulator — the unsharded live-fabric path. The rescheduling keeps the
-// simulator permanently non-quiet; use AttachEngine for bounded runs.
-func (r *Recorder) AttachSim(s *sim.Simulator) {
-	var tick func()
-	tick = func() {
-		r.Capture(s.Now())
-		s.After(r.every, tick)
-	}
-	s.After(r.every, tick)
-}
-
 // Capture scrapes the fabric now and appends one window stamped at. It
-// must run with the fabric quiescent (barrier context, or the solo
-// simulation goroutine). Errors latch: the first write error stops the
+// must run with the fabric quiescent (barrier context). Errors latch: the first write error stops the
 // stream and surfaces in Stats.
 func (r *Recorder) Capture(at sim.Time) {
 	if r.err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"stardust/internal/fabric"
 	"stardust/internal/netsim"
+	"stardust/internal/parsim"
 	"stardust/internal/sim"
 	"stardust/internal/topo"
 )
@@ -82,20 +83,22 @@ func TestEmitterEventSemantics(t *testing.T) {
 	}
 }
 
-// liveFabric builds a small loaded fabric for recorder tests.
-func liveFabric(t *testing.T) (*sim.Simulator, *fabric.Net, *topo.Clos) {
+// liveFabric builds a small loaded fabric on a one-shard engine for
+// recorder tests.
+func liveFabric(t *testing.T) (*parsim.Engine, *fabric.Net, *topo.Clos) {
 	t.Helper()
 	cl, err := fabric.ClosFor(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sim.New()
-	fab, err := fabric.New(s, fabric.DefaultConfig(10e9, sim.Microsecond, 1), cl)
+	eng := parsim.New(parsim.Config{Shards: 1, Lookahead: sim.Microsecond})
+	fab, err := fabric.New(eng, fabric.DefaultConfig(10e9, sim.Microsecond, 1), cl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for fa := 0; fa < cl.NumFA; fa++ {
 		fa := fa
+		s := eng.Shard(fab.ShardOfFA(fa)).Sim()
 		var inject func()
 		inject = func() {
 			c := netsim.NewPacket()
@@ -105,14 +108,15 @@ func liveFabric(t *testing.T) (*sim.Simulator, *fabric.Net, *topo.Clos) {
 		}
 		s.At(0, inject)
 	}
-	return s, fab, cl
+	return eng, fab, cl
 }
 
-// TestRecorderOnSoloSim drives the unsharded path end to end: AttachSim
-// scrapes on period, the stream decodes, counters are monotonic, online
-// analyzers feed the finding log, and stats reflect all of it.
+// TestRecorderOnSoloSim drives a one-shard engine end to end:
+// AttachEngine scrapes on period, the stream decodes, counters are
+// monotonic, online analyzers feed the finding log, and stats reflect all
+// of it.
 func TestRecorderOnSoloSim(t *testing.T) {
-	s, fab, cl := liveFabric(t)
+	eng, fab, cl := liveFabric(t)
 	hdr := StreamHeader{Dirs: 2 * fab.NumLinks(), FAs: 0, K: 4, ScrapePs: 100 * sim.Microsecond}
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, hdr)
@@ -121,7 +125,7 @@ func TestRecorderOnSoloSim(t *testing.T) {
 	}
 	rec := NewRecorder(w, fab, nil, 100*sim.Microsecond)
 	log := rec.Observe(MetaFor(cl), DefaultAnalyzers()...)
-	rec.AttachSim(s)
+	rec.AttachEngine(eng)
 
 	// Isolate FA0 mid-run: a reachability hole the online analyzers must
 	// flag, and down events the stream must carry.
@@ -131,12 +135,12 @@ func TestRecorderOnSoloSim(t *testing.T) {
 			failed = append(failed, i)
 		}
 	}
-	s.At(250*sim.Microsecond, func() {
+	eng.At(250*sim.Microsecond, func() {
 		for _, i := range failed {
 			fab.FailLink(i)
 		}
 	})
-	s.RunUntil(sim.Millisecond)
+	eng.Run(sim.Millisecond)
 
 	st := rec.Stats()
 	if st.Windows < 9 || st.Bytes == 0 || st.LastT == 0 {
@@ -184,15 +188,15 @@ func TestRecorderOnSoloSim(t *testing.T) {
 // at the first failed write, surfaces in Stats, and further captures are
 // no-ops instead of corrupting the tail.
 func TestRecorderLatchesWriteError(t *testing.T) {
-	s, fab, _ := liveFabric(t)
+	eng, fab, _ := liveFabric(t)
 	sink := NewBuffer(512) // fits the header, not the windows
 	w, err := NewWriter(sink, StreamHeader{Dirs: 2 * fab.NumLinks(), FAs: 0, ScrapePs: 50 * sim.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := NewRecorder(w, fab, nil, 50*sim.Microsecond)
-	rec.AttachSim(s)
-	s.RunUntil(sim.Millisecond)
+	rec.AttachEngine(eng)
+	eng.Run(sim.Millisecond)
 
 	if rec.Err() != ErrStreamFull {
 		t.Fatalf("latched error = %v, want ErrStreamFull", rec.Err())
