@@ -175,7 +175,7 @@ func BenchmarkTransportPathSharded(b *testing.B) {
 	const hostsPer = 2
 	hosts := cl.NumFA * hostsPer
 	sdc := netsim.DefaultStardust(10e9, cl.FAUplinks, sim.Microsecond)
-	net, err := netsim.NewShardedStardustNet(fab, sdc, hosts, hostsPer)
+	net, err := netsim.NewStardustNet(fab, sdc, hosts, hostsPer)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -4,10 +4,9 @@
 // benchmark's median ns/op regresses beyond the tolerance against a
 // committed baseline:
 //
-//	go test -run '^$' -bench . -benchtime 3x -count 3 . | tee bench.txt
-//	benchguard -in bench.txt -out BENCH_ci.json \
-//	    -baseline BENCH_baseline.json -guard BenchmarkPacketPath -tolerance 0.20 \
-//	    -allocguard BenchmarkFabricCellPath
+//	go test -run '^$' -bench '^Benchmark(PacketPath|FabricCellPath)$' -count 5 . | tee bench.txt
+//	benchguard -in bench.txt -baseline BENCH_baseline.json \
+//	    -guard BenchmarkPacketPath -tolerance 0.20 -allocguard BenchmarkFabricCellPath
 //
 // -guard gates median ns/op (within -tolerance) plus allocs/op; the
 // comma-separated -allocguard benchmarks are gated on allocs/op only —

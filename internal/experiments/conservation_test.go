@@ -10,7 +10,7 @@ import (
 	"stardust/internal/workload"
 )
 
-// Regression suite for ShardedStardustNet.TotalDrops/FabricDrops over the
+// Regression suite for StardustNet.TotalDrops/FabricDrops over the
 // per-link fabric: for every fabric=true htsim scenario shape, every packet
 // handed to the substrate must be accounted at drain —
 //

@@ -45,17 +45,17 @@ type HtsimConfig struct {
 	// StardustSpeedup overrides the credit speed-up ratio (0 = the
 	// paper's 1.03) — the §6.2 ablation knob.
 	StardustSpeedup float64
-	// FullFabric replaces the fluid trunk model of the Stardust substrate
-	// with the topology-faithful per-link fabric (internal/fabric): every
-	// FE device and serial link simulated, cells sprayed per link. The
-	// substrate then runs sharded on a parsim engine: fabric devices,
-	// VOQs, credit schedulers and TCP endpoints partitioned across Shards
-	// event loops, with byte-identical results at any shard count for the
-	// same seed.
+	// FullFabric replaces the fluid trunk fabric under the Stardust
+	// transport with the topology-faithful per-link fabric
+	// (internal/fabric): every FE device and serial link simulated, cells
+	// sprayed per link. Either fabric runs sharded on a parsim engine:
+	// fabric, VOQs, credit schedulers and TCP endpoints partitioned across
+	// Shards event loops, with byte-identical results at any shard count
+	// for the same seed.
 	FullFabric bool
-	// Shards is the FullFabric engine's event-loop count (values below 1
-	// mean one). The fluid model and the fat-tree contenders run on a
-	// single event loop and ignore it.
+	// Shards is the Stardust engine's event-loop count (values below 1
+	// mean one). The fat-tree contenders run on a single event loop and
+	// ignore it.
 	Shards int
 	Seed   int64
 }
@@ -82,17 +82,16 @@ func QuickHtsim() HtsimConfig {
 	return c
 }
 
-// testbed wires the fat-tree (for the TCP variants), the fluid Stardust
-// substrate, or the sharded Stardust substrate over the per-link fabric
+// testbed wires the fat-tree (for the TCP variants) or the Stardust
+// transport over the fluid trunk fabric or the per-link fabric
 // (FullFabric), and hands out per-flow route builders.
 type testbed struct {
 	cfg   HtsimConfig
-	s     *sim.Simulator
+	s     *sim.Simulator // the fat-tree's event loop
 	ft    *netsim.FatTreeNet
-	sd    *netsim.StardustNet        // fluid Stardust substrate
-	ssd   *netsim.ShardedStardustNet // Stardust substrate over the per-link fabric (FullFabric)
-	eng   *parsim.Engine             // non-nil iff ssd is
-	fab   *fabric.Net                // non-nil iff ssd is
+	ssd   *netsim.StardustNet // Stardust transport
+	eng   *parsim.Engine      // non-nil iff ssd is
+	fab   *fabric.Net         // the per-link fabric (FullFabric)
 	hosts int
 	rng   *rand.Rand
 }
@@ -101,10 +100,13 @@ func newTestbed(cfg HtsimConfig, proto Protocol) (*testbed, error) {
 	if !slices.Contains(Protocols, proto) {
 		return nil, fmt.Errorf("experiments: unknown protocol %q (want %v)", proto, Protocols)
 	}
-	tb := &testbed{cfg: cfg, s: sim.New(), rng: rand.New(rand.NewSource(cfg.Seed))}
+	tb := &testbed{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 	switch proto {
 	case ProtoStardust:
 		hostsPer := cfg.K / 2 // hosts per edge device in a k-ary fat-tree
+		if hostsPer < 1 {
+			return nil, fmt.Errorf("experiments: stardust needs k >= 2, got %d", cfg.K)
+		}
 		ftc := netsim.DefaultFatTree()
 		ftc.K = cfg.K
 		sdc := netsim.DefaultStardust(ftc.LinkRate, hostsPer, ftc.LinkDelay)
@@ -115,34 +117,33 @@ func newTestbed(cfg HtsimConfig, proto Protocol) (*testbed, error) {
 			sdc.SpeedUp = cfg.StardustSpeedup
 		}
 		hosts := cfg.K * cfg.K * cfg.K / 4
+		// The engine's lookahead is the link delay (the fabric's
+		// synchronization horizon) and the whole transport is partitioned
+		// by edge FA.
+		eng := parsim.New(parsim.Config{Shards: max(cfg.Shards, 1), Lookahead: ftc.LinkDelay})
+		var cells netsim.CellFabric
 		if cfg.FullFabric {
-			// Sharded end-to-end run: the engine's lookahead is the link
-			// delay (the fabric's synchronization horizon) and the whole
-			// transport is partitioned by edge FA.
 			cl, err := fabric.ClosFor(cfg.K)
 			if err != nil {
 				return nil, err
 			}
-			eng := parsim.New(parsim.Config{Shards: max(cfg.Shards, 1), Lookahead: ftc.LinkDelay})
 			fcfg := fabric.DefaultConfig(netsim.Bps(float64(ftc.LinkRate)*1.05), ftc.LinkDelay, cfg.Seed)
-			fn, err := fabric.New(eng, fcfg, cl, nil)
+			if tb.fab, err = fabric.New(eng, fcfg, cl, nil); err != nil {
+				return nil, err
+			}
+			cells = tb.fab
+		} else {
+			trunk, err := netsim.NewTrunkFabric(eng, sdc, hosts/hostsPer)
 			if err != nil {
 				return nil, err
 			}
-			ssd, err := netsim.NewShardedStardustNet(fn, sdc, hosts, hostsPer)
-			if err != nil {
-				return nil, err
-			}
-			tb.eng, tb.ssd, tb.fab = eng, ssd, fn
-			tb.s = eng.Shard(0).Sim()
-			tb.hosts = hosts
-			return tb, nil
+			cells = trunk
 		}
-		sd, err := netsim.NewStardustNet(tb.s, sdc, hosts, hostsPer)
+		ssd, err := netsim.NewStardustNet(cells, sdc, hosts, hostsPer)
 		if err != nil {
 			return nil, err
 		}
-		tb.sd = sd
+		tb.eng, tb.ssd = eng, ssd
 		tb.hosts = hosts
 	default:
 		ftc := netsim.DefaultFatTree()
@@ -151,6 +152,7 @@ func newTestbed(cfg HtsimConfig, proto Protocol) (*testbed, error) {
 		if proto == ProtoDCTCP || proto == ProtoDCQCN {
 			ftc.ECNThreshPkt = cfg.ECNThreshPkt
 		}
+		tb.s = sim.New()
 		ft, err := netsim.NewFatTreeNet(tb.s, ftc)
 		if err != nil {
 			return nil, err
@@ -166,14 +168,11 @@ func (tb *testbed) linkRate() float64 {
 	if tb.ft != nil {
 		return float64(tb.ft.Cfg.LinkRate)
 	}
-	if tb.ssd != nil {
-		return float64(tb.ssd.Cfg.HostRate)
-	}
-	return float64(tb.sd.Cfg.HostRate)
+	return float64(tb.ssd.Cfg.HostRate)
 }
 
 // sim returns the event heap host h's endpoints must run on: the shard
-// the host is pinned to in a FullFabric run, the single loop otherwise.
+// the host is pinned to in a Stardust run, the single loop otherwise.
 func (tb *testbed) sim(h int) *sim.Simulator {
 	if tb.ssd != nil {
 		return tb.ssd.HostSim(h)
@@ -189,7 +188,7 @@ func (tb *testbed) now() sim.Time {
 	return tb.s.Now()
 }
 
-// runUntil advances the simulation to t. A sharded run returns at the
+// runUntil advances the simulation to t. A Stardust run returns at the
 // window boundary at or after t with every shard quiescent, so counters
 // and endpoint state are safe to read afterward.
 func (tb *testbed) runUntil(t sim.Time) {
@@ -205,9 +204,6 @@ func (tb *testbed) runUntil(t sim.Time) {
 func (tb *testbed) route(src, dst, choice int) []netsim.Handler {
 	if tb.ssd != nil {
 		return tb.ssd.Route(src, dst)
-	}
-	if tb.sd != nil {
-		return tb.sd.Route(src, dst)
 	}
 	return tb.ft.Route(src, dst, choice%tb.ft.Paths(src, dst))
 }
@@ -226,7 +222,7 @@ func (tb *testbed) launchFlow(proto Protocol, src, dst int, flowBytes int64, at 
 	switch proto {
 	case ProtoDCTCP, ProtoStardust:
 		// Stardust runs unmodified NewReno on top (§6.3); the substrate
-		// chops packets into 512B cells itself. In a sharded run the
+		// chops packets into 512B cells itself. In a Stardust run the
 		// source lives on its host's shard and the sink on the
 		// destination's — the routes already cross between them.
 		cfg.DCTCP = proto == ProtoDCTCP
@@ -329,10 +325,9 @@ func Permutation(cfg HtsimConfig, proto Protocol) (*PermutationResult, error) {
 	}
 	sort.Float64s(res.Gbps)
 	res.MeanUtilPct = 100 * sum / (float64(tb.hosts) * linkRate / 1e9)
-	switch {
-	case tb.ft != nil:
+	if tb.ft != nil {
 		res.FabricDrops = tb.ft.TotalDrops()
-	case tb.ssd != nil:
+	} else {
 		res.FabricDrops = tb.ssd.FabricDrops()
 		var tc netsim.TransportCounters
 		tb.ssd.ReadCounters(&tc)
@@ -340,12 +335,6 @@ func Permutation(cfg HtsimConfig, proto Protocol) (*PermutationResult, error) {
 		res.CreditsSent = tc.CreditsSent
 		res.VOQDrops = tc.VOQDrops
 		res.ReasmTimeouts = tc.ReasmTimeouts
-	default:
-		res.FabricDrops = tb.sd.FabricDrops()
-		res.CellsSent = tb.sd.CellsSent
-		res.CreditsSent = tb.sd.CreditsSent
-		res.VOQDrops = tb.sd.VOQDrops
-		res.ReasmTimeouts = tb.sd.ReasmTimeouts
 	}
 	return res, nil
 }
@@ -397,7 +386,7 @@ func FCT(cfg HtsimConfig, proto Protocol, measuredFlows int) (*FCTResult, error)
 	remaining := measuredFlows
 
 	if tb.eng != nil {
-		// Sharded run: flow creation mutates multi-shard state (routes,
+		// Stardust run: flow creation mutates multi-shard state (routes,
 		// VOQs), so each measured flow is launched in barrier context and
 		// its completion is detected by polling at the window barrier —
 		// barrier instants are lookahead-quantized, hence identical at
@@ -435,6 +424,8 @@ func FCT(cfg HtsimConfig, proto Protocol, measuredFlows int) (*FCTResult, error)
 		return res, nil
 	}
 
+	// The fat-tree contenders run on one unpartitioned event loop, so a
+	// completion callback launches the next measured flow directly.
 	var launch func()
 	launch = func() {
 		if remaining == 0 {
@@ -479,8 +470,8 @@ func Incast(cfg HtsimConfig, proto Protocol, backends int, responseBytes int64) 
 	}
 	inc := workload.NewIncast(tb.rng, tb.hosts, backends, responseBytes)
 	// Completion is read off each runner at quiescent points rather than
-	// through callbacks, so the same loop drives single-loop and sharded
-	// runs (a sharded completion callback would fire on a shard
+	// through callbacks, so the same loop drives fat-tree and Stardust
+	// runs (a Stardust completion callback would fire on a shard
 	// goroutine).
 	runners := make([]flowRunner, len(inc.Backends))
 	for i, b := range inc.Backends {

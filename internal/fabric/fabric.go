@@ -2,10 +2,10 @@
 // topo.Graph is its own device, every serial link its own serialization
 // queue + propagation pipe, and cells are sprayed per link at every hop
 // with the §5.3 round-robin permutation arbiter (reach.Spreader). It
-// replaces the abstract FabricHops-deep pipe of netsim's fluid Stardust
-// model for experiments that need per-link load balance, tier-by-tier
-// buffering or link failures: it implements netsim.ShardedCellFabric, so
-// the Stardust transport substrate plugs in unchanged.
+// replaces netsim's fluid TrunkFabric (one trunk per adapter and a
+// FabricHops-deep crossing) for experiments that need per-link load
+// balance, tier-by-tier buffering or link failures: both implement
+// netsim.CellFabric, so the Stardust transport runs unchanged over either.
 //
 // There is one data plane for every graph. A device holds, per
 // destination edge device, a descend bitmap of the ports that make

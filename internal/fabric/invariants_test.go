@@ -339,7 +339,7 @@ func TestStardustTransportInOrderUnderFailures(t *testing.T) {
 	hostsPer := k / 2
 	hosts := cl.NumFA * hostsPer
 	sdc := netsim.DefaultStardust(10e9, hostsPer, sim.Microsecond)
-	sd, err := netsim.NewShardedStardustNet(fab, sdc, hosts, hostsPer)
+	sd, err := netsim.NewStardustNet(fab, sdc, hosts, hostsPer)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,8 +89,8 @@ type FabricRun struct {
 	Fab   *fabric.Net
 	Ctl   *Controller
 	Eng   *parsim.Engine
-	Net   *netsim.ShardedStardustNet // non-nil when the transport overlay is on
-	Trans *TransportMonitor          // barrier-scraped transport telemetry
+	Net   *netsim.StardustNet // non-nil when the transport overlay is on
+	Trans *TransportMonitor   // barrier-scraped transport telemetry
 
 	// Telemetry pipeline (all nil/zero unless Cfg.Telem > 0): the STREC1
 	// recorder, the capped in-memory stream it writes, the live analyzer

@@ -21,13 +21,13 @@ type TransportStats struct {
 	netsim.TransportCounters
 }
 
-// TransportMonitor scrapes a ShardedStardustNet's counters in the parsim
+// TransportMonitor scrapes a StardustNet's counters in the parsim
 // engine's barrier context — every shard quiescent at a synchronized
 // instant — exactly like the fabric controller's scrape (Attach), so a
 // live sharded transport is race-free under -race and its telemetry is
 // identical at every shard count.
 type TransportMonitor struct {
-	net   *netsim.ShardedStardustNet
+	net   *netsim.StardustNet
 	every sim.Time
 	next  sim.Time
 
@@ -38,7 +38,7 @@ type TransportMonitor struct {
 // AttachTransport registers the barrier scrape on the transport's engine.
 // every <= 0 defaults to one simulated millisecond. Call it before the
 // engine runs.
-func AttachTransport(n *netsim.ShardedStardustNet, every sim.Time) *TransportMonitor {
+func AttachTransport(n *netsim.StardustNet, every sim.Time) *TransportMonitor {
 	if every <= 0 {
 		every = sim.Millisecond
 	}
@@ -87,7 +87,7 @@ func (r *FabricRun) buildTransport(hostsPer int) error {
 	}
 	hosts := cl.NumFA * hostsPer
 	sdc := netsim.DefaultStardust(netsim.Bps(10e9), cl.FAUplinks, r.Fab.Cfg.LinkDelay)
-	net, err := netsim.NewShardedStardustNet(r.Fab, sdc, hosts, hostsPer)
+	net, err := netsim.NewStardustNet(r.Fab, sdc, hosts, hostsPer)
 	if err != nil {
 		return err
 	}

@@ -21,9 +21,9 @@ import (
 // VOQ tail-drop, reassembly-timeout discard, queue drop) is accounted
 // exactly. The same program runs at shards ∈ {1, 2, 4} and the canonical
 // digests must be byte-identical — the transport extension of the fabric
-// determinism contract, verified rather than assumed — and the loss-free
-// variant is cross-checked against the fluid StardustNet's per-flow
-// delivery order.
+// determinism contract, verified rather than assumed — and a loss-free
+// program is cross-checked between the per-link and the trunk fabric's
+// per-flow delivery order.
 
 // flowRec records one flow's deliveries. The terminal route hop runs
 // pinned to the destination host's shard, so no locking is needed; the
@@ -125,7 +125,7 @@ func runTransportProperty(t *testing.T, prog transportProgram, shards int) trans
 	}
 	hosts := cl.NumFA * prog.hostsPer
 	sdc := netsim.DefaultStardust(10e9, cl.FAUplinks, look)
-	net, err := netsim.NewShardedStardustNet(fab, sdc, hosts, prog.hostsPer)
+	net, err := netsim.NewStardustNet(fab, sdc, hosts, prog.hostsPer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,13 +322,14 @@ func TestTransportPropertyInvariants(t *testing.T) {
 	}
 }
 
-// TestShardedTransportMatchesSolo cross-checks the sharded transport over
-// the per-link fabric against the independent fluid StardustNet (the
-// Appendix G model on one event loop): with no failures both must deliver
-// every injected packet, per flow, in the same order. The two models'
-// timing differs, so only the per-flow delivery order is comparable, not
-// event interleavings.
-func TestShardedTransportMatchesSolo(t *testing.T) {
+// TestTrunkFabricMatchesPerLinkFabric cross-checks the two cell fabrics
+// under the one transport: the fluid trunk fabric (Appendix G) and the
+// per-link fabric, both at 4 shards. With no failures both must deliver
+// every injected packet, per flow, in the same order, discard nothing and
+// keep the transport's credit books balanced. The fabrics' timing
+// differs, so only the per-flow delivery order is comparable, not event
+// interleavings.
+func TestTrunkFabricMatchesPerLinkFabric(t *testing.T) {
 	const seed = 11
 	const k = 4
 	const hostsPer = 2
@@ -339,25 +340,33 @@ func TestShardedTransportMatchesSolo(t *testing.T) {
 	hosts := cl.NumFA * hostsPer
 	const packets = 60
 	const size = 4000
+	sdc := netsim.DefaultStardust(10e9, cl.FAUplinks, sim.Microsecond)
 
-	// Per-flow delivery logs indexed by source host: each log is written
+	// run drives the program over the fabric mk builds and returns the
+	// per-flow delivery logs indexed by source host: each log is written
 	// only by its own flow's terminal handler (pinned to one shard), so
 	// the slice-of-slices needs no locking.
-	type delivery = [][]uint64
-
-	program := func(route func(src, dst int) []netsim.Handler,
-		schedule func(src int, at sim.Time, fire func())) delivery {
-		got := make(delivery, hosts)
+	run := func(name string, mk func(eng *parsim.Engine) (netsim.CellFabric, error)) [][]uint64 {
+		eng := parsim.New(parsim.Config{Shards: 4, Lookahead: sim.Microsecond})
+		fab, err := mk(eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := netsim.NewStardustNet(fab, sdc, hosts, hostsPer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([][]uint64, hosts)
 		for src := 0; src < hosts; src++ {
 			src := src
 			dst := (src + 3) % hosts
-			r := append(route(src, dst), netsim.HandlerFunc(func(p *netsim.Packet) {
+			r := append(net.Route(src, dst), netsim.HandlerFunc(func(p *netsim.Packet) {
 				got[src] = append(got[src], uint64(p.Seq))
 				p.Release()
 			}))
 			for i := 0; i < packets; i++ {
 				id := uint64(src)<<32 | uint64(i+1)
-				schedule(src, sim.Time(i)*10*sim.Microsecond, func() {
+				net.HostSim(src).AtLaneFunc(sim.Time(i)*10*sim.Microsecond, 0, func() {
 					p := netsim.NewPacket()
 					p.Size = size
 					p.Seq = int64(id)
@@ -366,50 +375,33 @@ func TestShardedTransportMatchesSolo(t *testing.T) {
 				})
 			}
 		}
+		eng.Run(20 * sim.Millisecond)
+		for src := 0; src < hosts; src++ {
+			if len(got[src]) != packets {
+				t.Fatalf("%s flow %d delivered %d of %d (fabric drops %d, timeouts %d)",
+					name, src, len(got[src]), packets, net.FabricDrops(), net.ReasmTimeouts())
+			}
+		}
+		if n := net.ReasmTimeouts(); n != 0 {
+			t.Fatalf("%s: loss-free run discarded %d packets", name, n)
+		}
+		if err := net.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		return got
 	}
 
-	// Independent reference: the fluid Appendix G StardustNet on a single
-	// event loop.
-	s := sim.New()
-	sdc := netsim.DefaultStardust(10e9, cl.FAUplinks, sim.Microsecond)
-	solo, err := netsim.NewStardustNet(s, sdc, hosts, hostsPer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	soloGot := program(solo.Route, func(_ int, at sim.Time, fire func()) { s.At(at, fire) })
-	s.RunUntil(20 * sim.Millisecond)
-
-	// Sharded run of the same program at 4 shards.
-	eng := parsim.New(parsim.Config{Shards: 4, Lookahead: sim.Microsecond})
-	shFab, err := fabric.New(eng, fabric.DefaultConfig(netsim.Bps(10e9*1.05), sim.Microsecond, seed), cl, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := netsim.NewShardedStardustNet(shFab, sdc, hosts, hostsPer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shGot := program(sh.Route, func(src int, at sim.Time, fire func()) {
-		sh.HostSim(src).AtLaneFunc(at, 0, fire)
+	trunkGot := run("trunk", func(eng *parsim.Engine) (netsim.CellFabric, error) {
+		return netsim.NewTrunkFabric(eng, sdc, cl.NumFA)
 	})
-	eng.Run(20 * sim.Millisecond)
-
+	linkGot := run("per-link", func(eng *parsim.Engine) (netsim.CellFabric, error) {
+		return fabric.New(eng, fabric.DefaultConfig(netsim.Bps(10e9*1.05), sim.Microsecond, seed), cl, nil)
+	})
 	for src := 0; src < hosts; src++ {
-		if len(soloGot[src]) != packets {
-			t.Fatalf("solo flow %d delivered %d of %d", src, len(soloGot[src]), packets)
-		}
-		if len(shGot[src]) != packets {
-			t.Fatalf("sharded flow %d delivered %d of %d (fabric drops %d, timeouts %d)",
-				src, len(shGot[src]), packets, sh.FabricDrops(), sh.ReasmTimeouts())
-		}
-		for i := range soloGot[src] {
-			if soloGot[src][i] != shGot[src][i] {
-				t.Fatalf("flow %d delivery %d: solo id %x vs sharded %x", src, i, soloGot[src][i], shGot[src][i])
+		for i := range trunkGot[src] {
+			if trunkGot[src][i] != linkGot[src][i] {
+				t.Fatalf("flow %d delivery %d: trunk id %x vs per-link %x", src, i, trunkGot[src][i], linkGot[src][i])
 			}
 		}
-	}
-	if sh.ReasmTimeouts() != 0 || solo.ReasmTimeouts != 0 {
-		t.Fatalf("loss-free run discarded packets: solo %d, sharded %d", solo.ReasmTimeouts, sh.ReasmTimeouts())
 	}
 }

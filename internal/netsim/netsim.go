@@ -2,9 +2,9 @@
 // protocol comparison of §6.3 (Fig 10) — the role htsim plays in the
 // paper. It provides serialization queues with tail-drop and ECN marking,
 // propagation pipes, and a k-ary fat-tree plumbing with per-flow ECMP path
-// selection. Transport endpoints (TCP NewReno, DCTCP, DCQCN, MPTCP and the
-// Stardust Fabric Adapter model) live in package tcp and netsim's
-// stardust.go.
+// selection. Transport endpoints (TCP NewReno, DCTCP, DCQCN, MPTCP) live
+// in package tcp; the Stardust Fabric Adapter transport and its fluid
+// trunk fabric live here (transport.go, stardust.go).
 //
 // The packet hot path is allocation-free in steady state: packets come
 // from a shared free list (NewPacket/Release), queues buffer them in

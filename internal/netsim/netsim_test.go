@@ -3,8 +3,21 @@ package netsim
 import (
 	"testing"
 
+	"stardust/internal/parsim"
 	"stardust/internal/sim"
 )
+
+// oneShardTrunk returns a one-shard engine and a trunk fabric of numFA
+// adapters for the transport tests.
+func oneShardTrunk(t testing.TB, cfg StardustConfig, numFA int) (*parsim.Engine, *TrunkFabric) {
+	t.Helper()
+	eng := parsim.New(parsim.Config{Shards: 1, Lookahead: cfg.LinkDelay})
+	fab, err := NewTrunkFabric(eng, cfg, numFA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, fab
+}
 
 func TestQueueServesAtRate(t *testing.T) {
 	s := sim.New()
@@ -120,9 +133,9 @@ func TestFatTreePathDiversityDistinctQueues(t *testing.T) {
 }
 
 func TestStardustSubstrateDelivers(t *testing.T) {
-	s := sim.New()
 	cfg := DefaultStardust(10e9, 2, sim.Microsecond)
-	net, err := NewStardustNet(s, cfg, 8, 2)
+	eng, fab := oneShardTrunk(t, cfg, 4)
+	net, err := NewStardustNet(fab, cfg, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,30 +146,30 @@ func TestStardustSubstrateDelivers(t *testing.T) {
 		p.SetRoute(route)
 		p.SendOn()
 	}
-	s.RunUntil(5 * sim.Millisecond)
+	eng.Run(5 * sim.Millisecond)
 	if c.Packets != 20 {
 		t.Fatalf("delivered %d of 20", c.Packets)
 	}
 	if net.FabricDrops() != 0 {
 		t.Fatal("fabric dropped cells")
 	}
-	if net.CellsSent == 0 || net.CreditsSent == 0 {
+	if net.CellsSent() == 0 || net.CreditsSent() == 0 {
 		t.Fatal("no cells or credits recorded")
 	}
 	// 9000B packets over 504B payload cells: 18 cells each.
-	if net.CellsSent != 20*18 {
-		t.Fatalf("cells sent = %d, want 360", net.CellsSent)
+	if net.CellsSent() != 20*18 {
+		t.Fatalf("cells sent = %d, want 360", net.CellsSent())
 	}
 }
 
 func TestStardustSizingValidation(t *testing.T) {
-	s := sim.New()
 	cfg := DefaultStardust(10e9, 2, sim.Microsecond)
-	if _, err := NewStardustNet(s, cfg, 7, 2); err == nil {
+	_, fab := oneShardTrunk(t, cfg, 4)
+	if _, err := NewStardustNet(fab, cfg, 7, 2); err == nil {
 		t.Fatal("non-divisible hosts accepted")
 	}
 	cfg.CellBytes = 4
-	if _, err := NewStardustNet(s, cfg, 8, 2); err == nil {
+	if _, err := NewStardustNet(fab, cfg, 8, 2); err == nil {
 		t.Fatal("tiny cells accepted")
 	}
 }

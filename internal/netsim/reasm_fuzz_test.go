@@ -6,33 +6,35 @@ import (
 	"stardust/internal/sim"
 )
 
-// FuzzReassembly drives the destination adapter's reassembly path with
-// adversarial cell schedules: the fuzz input programs, per cell, whether
-// it is dropped or how long it is delayed, producing arbitrary arrival
-// orders, skews and losses across interleaved flows. The invariants:
+// FuzzReassembly drives the transport's destination reassembly path
+// (sdEgress, sstream.deliver) on a one-shard engine with adversarial cell
+// schedules: the fuzz input programs, per cell, whether it is dropped or
+// how long it is delayed, producing arbitrary arrival orders, skews and
+// losses across interleaved flows. The invariants:
 //
 //   - no duplicate deliveries, and per-VOQ ship order is preserved;
 //   - every shipped packet's fate is settled exactly once — delivered or
 //     discarded by the reassembly timer (delivered + timeouts == shipped);
 //   - cell conservation (delivered + dropped == sent);
-//   - no leaked reasmState: every VOQ's flight ring drains empty.
+//   - no leaked reassembly state: every stream's flight ring drains empty;
+//   - credit conservation (CheckInvariants) and nothing left in flight.
 
-// scriptedFabric is a fabric crossing driven by a byte program: each
-// cell consumes one op. op ≡ 0 (mod 8) loses the cell; anything else
-// hands it to the destination adapter after (op mod 32) · 7µs, so later
-// cells routinely overtake earlier ones and whole packets interleave at
-// the destination.
+// scriptedFabric is a trunk fabric whose crossing is driven by a byte
+// program: each cell consumes one op. op ≡ 0 (mod 8) loses the cell;
+// anything else hands it to the destination adapter after (op mod 32) ·
+// 7µs, so later cells routinely overtake earlier ones and whole packets
+// interleave at the destination.
 type scriptedFabric struct {
+	*TrunkFabric
 	s       *sim.Simulator
-	net     *StardustNet
 	prog    []byte
 	i       int
 	sent    uint64
 	dropped uint64
 }
 
-// Receive implements Handler.
-func (f *scriptedFabric) Receive(c *Packet) {
+// Inject implements CellFabric.
+func (f *scriptedFabric) Inject(c *Packet, srcFA, dstFA int) {
 	f.sent++
 	var op byte
 	if len(f.prog) > 0 {
@@ -45,7 +47,10 @@ func (f *scriptedFabric) Receive(c *Packet) {
 		return
 	}
 	delay := sim.Time(op%32) * 7 * sim.Microsecond
-	f.s.After(delay, func() { f.net.reassemble(c) })
+	// Every trunk route ends in the transport's egress of its destination.
+	route := f.routes[srcFA*f.numFA+dstFA]
+	egress := route[len(route)-1]
+	f.s.After(delay, func() { egress.Receive(c) })
 }
 
 func FuzzReassembly(f *testing.F) {
@@ -54,14 +59,14 @@ func FuzzReassembly(f *testing.F) {
 	f.Add([]byte{0, 9, 31, 2, 17, 8, 5, 255, 64, 3}) // mixed drops and heavy reordering
 	f.Add([]byte{9, 1, 25, 1, 9, 1})                 // loss-free, oscillating skew
 	f.Fuzz(func(t *testing.T, prog []byte) {
-		s := sim.New()
 		cfg := DefaultStardust(10e9, 2, sim.Microsecond)
-		n, err := NewStardustNet(s, cfg, 4, 2)
+		eng, trunk := oneShardTrunk(t, cfg, 2)
+		s := eng.Shard(0).Sim()
+		fab := &scriptedFabric{TrunkFabric: trunk, s: s, prog: prog}
+		n, err := NewStardustNet(fab, cfg, 4, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fab := &scriptedFabric{s: s, net: n, prog: prog}
-		n.fabric = fab
 
 		// Interleaved flows, including a same-FA pair, with sizes drawn
 		// from the program so fragmentation counts vary.
@@ -106,31 +111,37 @@ func FuzzReassembly(f *testing.F) {
 
 		// Run far past the last injection, the maximum scripted skew
 		// (31·7µs) and the reassembly timeout, so every fate settles.
-		s.RunUntil(20 * sim.Millisecond)
+		eng.Run(20 * sim.Millisecond)
 
 		var delivered uint64
 		for _, r := range recs {
 			delivered += r.delivered
 		}
-		if delivered+n.ReasmTimeouts != uint64(shipped) {
+		if delivered+n.ReasmTimeouts() != uint64(shipped) {
 			t.Fatalf("packet fates: %d delivered + %d timed out != %d shipped",
-				delivered, n.ReasmTimeouts, shipped)
+				delivered, n.ReasmTimeouts(), shipped)
 		}
-		if n.CellsDelivered+fab.dropped != n.CellsSent {
+		if n.CellsDelivered()+fab.dropped != n.CellsSent() {
 			t.Fatalf("cell leak: %d delivered + %d dropped != %d sent",
-				n.CellsDelivered, fab.dropped, n.CellsSent)
+				n.CellsDelivered(), fab.dropped, n.CellsSent())
 		}
-		if fab.sent != n.CellsSent {
-			t.Fatalf("fabric saw %d cells, net sent %d", fab.sent, n.CellsSent)
+		if fab.sent != n.CellsSent() {
+			t.Fatalf("fabric saw %d cells, net sent %d", fab.sent, n.CellsSent())
 		}
 		// No leaked reassembly state: every VOQ's in-order stream drained.
 		for key, v := range n.voqs {
-			if v.flight.len() != 0 {
-				t.Fatalf("voq %v leaked %d reasmStates in its flight ring", key, v.flight.len())
+			if v.stream.flight.len() != 0 {
+				t.Fatalf("voq %v leaked %d reassembly states in its flight ring", key, v.stream.flight.len())
 			}
 			if v.q.len() != 0 {
 				t.Fatalf("voq %v still holds %d queued packets", key, v.q.len())
 			}
+		}
+		if err := n.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if f := n.InFlight(); f != 0 {
+			t.Fatalf("%d packets still in flight at drain", f)
 		}
 	})
 }

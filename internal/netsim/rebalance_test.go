@@ -22,7 +22,7 @@ import (
 // migrations: its chain starts group-tagged (ScheduleHost) and re-resolves
 // the host's shard per event instead of caching a Simulator.
 type rebalFlow struct {
-	net   *netsim.ShardedStardustNet
+	net   *netsim.StardustNet
 	fi    int
 	src   int
 	route []netsim.Handler
@@ -68,7 +68,7 @@ func runTransportRebalance(t *testing.T, seed int64, shards, failN int) (transpo
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := netsim.NewShardedStardustNet(fab, netsim.DefaultStardust(10e9, cl.FAUplinks, look), hosts, hostsPer)
+	net, err := netsim.NewStardustNet(fab, netsim.DefaultStardust(10e9, cl.FAUplinks, look), hosts, hostsPer)
 	if err != nil {
 		t.Fatal(err)
 	}

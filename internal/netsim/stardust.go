@@ -2,16 +2,16 @@ package netsim
 
 import (
 	"fmt"
-	"sync"
 
-	"stardust/internal/sched"
+	"stardust/internal/parsim"
 	"stardust/internal/sim"
 )
 
-// StardustConfig parameterizes the abstract Stardust model used in the
-// §6.3 htsim comparison (Appendix G): 512B cells, 4KB credits, 3% credit
-// speed-up, ingress VOQs at the source Fabric Adapter and a round-robin
-// egress scheduler per destination port.
+// StardustConfig parameterizes the Stardust transport of the §6.3 htsim
+// comparison (Appendix G): 512B cells, 4KB credits, 3% credit speed-up,
+// ingress VOQs at the source Fabric Adapter and a round-robin egress
+// scheduler per destination port. TrunkRate, TrunkBytes and FabricHops
+// size the fluid trunk fabric (NewTrunkFabric) and nothing else.
 type StardustConfig struct {
 	CellBytes   int     // cell size on the wire (512)
 	CellHeader  int     // header bytes within each cell (8)
@@ -19,14 +19,14 @@ type StardustConfig struct {
 	SpeedUp     float64 // credit rate / port rate (1.03)
 
 	HostRate   Bps      // edge port rate (10G)
-	TrunkRate  Bps      // aggregate uplink rate per Fabric Adapter
+	TrunkRate  Bps      // aggregate uplink rate per Fabric Adapter (trunk fabric)
 	LinkDelay  sim.Time // per-hop propagation
-	FabricHops int      // hops across the fabric (4 in a 2-tier Clos)
+	FabricHops int      // hops across the trunk fabric (4 in a 2-tier Clos)
 	CtrlDelay  sim.Time // control-message (request/credit) one-way delay
 
 	VOQBytes   int // per-VOQ ingress buffer (§3.3: MBs to GBs at the FA)
 	NICBytes   int // host NIC queue into the source FA
-	TrunkBytes int // trunk queue capacity
+	TrunkBytes int // trunk queue capacity (trunk fabric)
 	PortBytes  int // egress port queue capacity
 	// Egress watermarks (§4.1): the port's credit scheduler pauses above
 	// PauseBytes and resumes below ResumeBytes, keeping the egress buffer
@@ -67,357 +67,96 @@ func DefaultStardust(hostRate Bps, uplinks int, linkDelay sim.Time) StardustConf
 	}
 }
 
-// StardustNet models the Stardust data center as a transport substrate:
-// host packets enter a per-flow VOQ at their source Fabric Adapter, wait
-// for credits from the destination port's scheduler, and cross the fabric
-// as cells sprayed over the adapter's uplinks (modelled as a fluid trunk —
-// §5.3's measured near-perfect balancing). Reassembled packets continue on
-// their original route, so TCP endpoints plug in unchanged.
-type StardustNet struct {
-	Cfg StardustConfig
-	Sim *sim.Simulator
-
-	hosts    int
-	hostsPer int // hosts per edge device (ToR / Fabric Adapter)
-
-	upTrunk   []*Queue // per edge device: into the fabric
-	downTrunk []*Queue // per edge device: out of the fabric
-	port      []*Queue // per host: egress port
-	hostUp    []*Queue // per host: NIC into the source FA
-	// fabric is the cells' crossing between the trunks: a pipe of
-	// FabricHops link delays. The reassembly tests swap in a lossy,
-	// reordering crossing before creating flows.
-	fabric Handler
-	reasmH HandlerFunc // shared terminal handler for cells
-
-	scheds  []*sched.PortScheduler // per destination host
-	credits []creditDelivery       // per destination host (sim.Action)
-	timers  []*sim.Timer
-	voqs    map[voqKey]*stardustVOQ
-	nextVID uint16
-
-	// Stats
-	CellsSent      uint64
-	CellsDelivered uint64 // cells that reached the destination adapter
-	CreditsSent    uint64
-	VOQDrops       uint64
-	ReasmTimeouts  uint64 // packets discarded by the reassembly timer
+// TrunkFabric is the fluid Appendix G fabric: each Fabric Adapter reaches
+// the fabric through one up-trunk queue at its aggregate uplink rate, the
+// crossing is FabricHops link delays, and cells leave through the
+// destination adapter's down-trunk queue — §5.3's near-perfect spraying
+// taken as given instead of simulated per link. It implements CellFabric
+// beside the per-link *fabric.Net, so both run under the one transport.
+type TrunkFabric struct {
+	eng    *parsim.Engine
+	numFA  int
+	shard  []int       // per FA
+	up     []*Queue    // per FA: into the fabric
+	down   []*Queue    // per FA: out of the fabric
+	routes [][]Handler // per (src, dst) FA pair: up, crossing, down, egress
 }
 
-type voqKey struct {
-	src, dst int // host indices
-}
-
-// NewStardustNet builds the substrate for hosts end hosts with hostsPer
-// hosts per edge device.
-func NewStardustNet(s *sim.Simulator, cfg StardustConfig, hosts, hostsPer int) (*StardustNet, error) {
-	if hosts < 2 || hostsPer < 1 || hosts%hostsPer != 0 {
-		return nil, fmt.Errorf("netsim: bad stardust sizing %d/%d", hosts, hostsPer)
+// NewTrunkFabric builds the trunk fabric for numFA Fabric Adapters over
+// eng, FAs assigned to shards in contiguous blocks. FA src's crossing is a
+// LanePipe on lane src, so cells reaching one down trunk at the same
+// instant queue in source order at any shard count.
+func NewTrunkFabric(eng *parsim.Engine, cfg StardustConfig, numFA int) (*TrunkFabric, error) {
+	cross := sim.Time(cfg.FabricHops) * cfg.LinkDelay
+	switch {
+	case numFA < 1:
+		return nil, fmt.Errorf("netsim: trunk fabric needs an FA, got %d", numFA)
+	case cfg.TrunkRate <= 0 || cfg.TrunkBytes <= 0:
+		return nil, fmt.Errorf("netsim: trunk fabric needs positive trunk rate and capacity")
+	case cross < eng.Lookahead():
+		return nil, fmt.Errorf("netsim: trunk crossing %d below engine lookahead %d", cross, eng.Lookahead())
 	}
-	if cfg.CellBytes <= cfg.CellHeader {
-		return nil, fmt.Errorf("netsim: cell too small")
+	t := &TrunkFabric{eng: eng, numFA: numFA, shard: make([]int, numFA)}
+	for fa := range numFA {
+		t.shard[fa] = fa * eng.Shards() / numFA
+		sm := eng.Shard(t.shard[fa]).Sim()
+		t.up = append(t.up, NewQueue(sm, fmt.Sprintf("sd-up%d", fa), cfg.TrunkRate, cfg.TrunkBytes, 0))
+		t.down = append(t.down, NewQueue(sm, fmt.Sprintf("sd-dn%d", fa), cfg.TrunkRate, cfg.TrunkBytes, 0))
 	}
-	n := &StardustNet{
-		Cfg:      cfg,
-		Sim:      s,
-		hosts:    hosts,
-		hostsPer: hostsPer,
-		fabric:   NewPipe(s, sim.Time(cfg.FabricHops)*cfg.LinkDelay),
-		voqs:     make(map[voqKey]*stardustVOQ),
-	}
-	n.reasmH = n.reassemble
-	edges := hosts / hostsPer
-	for e := 0; e < edges; e++ {
-		n.upTrunk = append(n.upTrunk, NewQueue(s, fmt.Sprintf("sd-up%d", e), cfg.TrunkRate, cfg.TrunkBytes, 0))
-		n.downTrunk = append(n.downTrunk, NewQueue(s, fmt.Sprintf("sd-dn%d", e), cfg.TrunkRate, cfg.TrunkBytes, 0))
-	}
-	for h := 0; h < hosts; h++ {
-		n.port = append(n.port, NewQueue(s, fmt.Sprintf("sd-port%d", h), cfg.HostRate, cfg.PortBytes, 0))
-		n.hostUp = append(n.hostUp, NewQueue(s, fmt.Sprintf("sd-nic%d", h), cfg.HostRate, cfg.NICBytes, 0))
-		sc := sched.New(sched.Config{
-			PortRateBps:     float64(cfg.HostRate),
-			CreditBytes:     cfg.CreditBytes,
-			SpeedupFraction: cfg.SpeedUp - 1,
-		})
-		n.scheds = append(n.scheds, sc)
-	}
-	n.credits = make([]creditDelivery, hosts)
-	// Credit generation loops, one per destination host port.
-	for h := 0; h < hosts; h++ {
-		h := h
-		n.credits[h] = creditDelivery{net: n, dst: h}
-		tmr := sim.NewTimer(s)
-		n.timers = append(n.timers, tmr)
-		var loop func()
-		loop = func() {
-			sc := n.scheds[h]
-			// Egress-buffer watermarks gate credit generation (§4.1).
-			if occ := n.port[h].Bytes(); occ > n.Cfg.PauseBytes {
-				sc.Pause()
-			} else if occ < n.Cfg.ResumeBytes {
-				sc.Resume()
+	t.routes = make([][]Handler, numFA*numFA)
+	for src := range numFA {
+		pipes := make([]*LanePipe, eng.Shards()) // per destination shard
+		for dst := range numFA {
+			to := t.shard[dst]
+			if pipes[to] == nil {
+				pipes[to] = &LanePipe{Sched: eng.Shard(t.shard[src]).To(to), Delay: cross, Lane: int32(src)}
 			}
-			if c, ok := sc.NextCredit(); ok {
-				n.CreditsSent++
-				// Pack (source host, credit bytes) into the action arg so
-				// delivering a credit does not allocate.
-				arg := uint64(c.To.SrcFA)<<32 | uint64(uint32(c.Bytes))
-				s.AfterAction(n.Cfg.CtrlDelay, &n.credits[h], arg)
-			}
-			tmr.Arm(sc.CreditInterval(), loop)
+			t.routes[src*numFA+dst] = []Handler{t.up[src], pipes[to], t.down[dst], nil}
 		}
-		tmr.Arm(n.scheds[h].CreditInterval(), loop)
 	}
-	return n, nil
+	return t, nil
 }
 
-// creditDelivery delivers a granted credit to the source VOQ after the
-// control-plane delay; it implements sim.Action with the source host and
-// byte count packed into the arg.
-type creditDelivery struct {
-	net *StardustNet
-	dst int
+// Inject sends one cell from srcFA's up trunk to dstFA's egress endpoint.
+func (t *TrunkFabric) Inject(c *Packet, srcFA, dstFA int) {
+	c.SetRoute(t.routes[srcFA*t.numFA+dstFA])
+	c.SendOn()
 }
 
-// Act implements sim.Action.
-func (c *creditDelivery) Act(arg uint64) {
-	src := int(arg >> 32)
-	bytes := int64(uint32(arg))
-	if v := c.net.voqs[voqKey{src: src, dst: c.dst}]; v != nil {
-		v.grant(bytes)
+// SetEgress installs h as the last hop of every route into FA fa.
+func (t *TrunkFabric) SetEgress(fa int, h Handler) {
+	for src := range t.numFA {
+		t.routes[src*t.numFA+fa][3] = h
 	}
 }
 
-// edge returns the edge device of a host.
-func (n *StardustNet) edge(h int) int { return h / n.hostsPer }
-
-// Route returns the forward route for a flow src -> dst: NIC queue, VOQ
-// capture, then (after reassembly) the destination port queue and a final
-// propagation hop. The caller appends the receiving endpoint.
-func (n *StardustNet) Route(src, dst int) []Handler {
-	v := n.voq(src, dst)
-	final := NewPipe(n.Sim, n.Cfg.LinkDelay)
-	return []Handler{n.hostUp[src], NewPipe(n.Sim, n.Cfg.LinkDelay), v, n.port[dst], final}
-}
-
-func (n *StardustNet) voq(src, dst int) *stardustVOQ {
-	k := voqKey{src, dst}
-	if v, ok := n.voqs[k]; ok {
-		return v
-	}
-	n.nextVID++
-	v := &stardustVOQ{
-		net: n, key: k, id: n.nextVID,
-		reasmTmr: sim.NewTimer(n.Sim),
-	}
-	v.reasmFn = v.deliver
-	// The cell route across the fabric is fixed per VOQ; build it once.
-	v.cellRoute = []Handler{n.upTrunk[n.edge(src)], n.fabric, n.downTrunk[n.edge(dst)], n.reasmH}
-	n.voqs[k] = v
-	return v
-}
-
-// TotalDrops counts drops across all Stardust queues.
-func (n *StardustNet) TotalDrops() uint64 {
+// Drops counts cells tail-dropped by the trunks (barrier context only).
+func (t *TrunkFabric) Drops() uint64 {
 	var d uint64
-	for _, q := range n.upTrunk {
-		d += q.Drops
-	}
-	for _, q := range n.downTrunk {
-		d += q.Drops
-	}
-	for _, q := range n.port {
-		d += q.Drops
-	}
-	for _, q := range n.hostUp {
-		d += q.Drops
-	}
-	return d + n.VOQDrops
-}
-
-// FabricDrops counts drops inside the fabric only (§5.5: must stay zero
-// under credit pacing on a healthy fabric).
-func (n *StardustNet) FabricDrops() uint64 {
-	var d uint64
-	for _, q := range n.upTrunk {
-		d += q.Drops
-	}
-	for _, q := range n.downTrunk {
-		d += q.Drops
+	for fa := range t.numFA {
+		d += t.up[fa].Drops + t.down[fa].Drops
 	}
 	return d
 }
 
-// stardustVOQ captures packets at the source Fabric Adapter until credits
-// release them as cells (§3.3).
-type stardustVOQ struct {
-	net *StardustNet
-	key voqKey
-	id  uint16
+// Engine returns the parsim engine the fabric runs on.
+func (t *TrunkFabric) Engine() *parsim.Engine { return t.eng }
 
-	q         pktRing
-	bytes     int64
-	credit    int64
-	cellRoute []Handler
-	flight    ring[*reasmState] // in-flight packets, ship order (in-order delivery)
-	// reasmTmr keeps the §4.1 reassembly timer armed while packets are
-	// outstanding: it is the only thing that can unwedge a head-of-line
-	// packet whose cells were all lost (no later completion would ever
-	// call deliver otherwise).
-	reasmTmr *sim.Timer
-	reasmFn  func()
-}
+// NumFA returns the number of Fabric Adapters.
+func (t *TrunkFabric) NumFA() int { return t.numFA }
 
-// Receive implements Handler: a packet arrives from the host NIC.
-func (v *stardustVOQ) Receive(p *Packet) {
-	if v.bytes+int64(p.Size) > int64(v.net.Cfg.VOQBytes) {
-		v.net.VOQDrops++
-		p.Release()
-		return // ingress tail-drop, as a ToR would (§3.1)
-	}
-	v.q.push(p)
-	v.bytes += int64(p.Size)
-	v.refreshRequest()
-	// Consume any banked credit immediately.
-	if v.credit > 0 {
-		v.release()
-	}
-}
+// ShardOfFA returns the shard owning FA fa's trunks.
+func (t *TrunkFabric) ShardOfFA(fa int) int { return t.shard[fa] }
 
-// refreshRequest advertises the current backlog to the destination port's
-// scheduler after the control-plane delay. The VOQ itself is the scheduled
-// action with the backlog in the arg, so requesting does not allocate.
-func (v *stardustVOQ) refreshRequest() {
-	v.net.Sim.AfterAction(v.net.Cfg.CtrlDelay, v, uint64(v.bytes))
-}
+// Lanes returns the first lane after the crossings' one lane per FA.
+func (t *TrunkFabric) Lanes() int32 { return int32(t.numFA) }
 
-// Act implements sim.Action: the backlog advertisement arrives at the
-// destination scheduler.
-func (v *stardustVOQ) Act(backlog uint64) {
-	v.net.scheds[v.key.dst].Request(sched.Requester{SrcFA: uint16(v.key.src), TC: 0}, int64(backlog))
-}
+// GroupOfFA returns 0: the trunk fabric never migrates an FA, so every
+// event stays in the immovable group.
+func (t *TrunkFabric) GroupOfFA(int) int32 { return 0 }
 
-func (v *stardustVOQ) grant(bytes int64) {
-	v.credit += bytes
-	v.release()
-	v.refreshRequest()
-}
+// LaneGroups returns nil: every lane belongs to group 0.
+func (t *TrunkFabric) LaneGroups() []int32 { return nil }
 
-// release dequeues whole packets against the credit balance and ships them
-// as cells across the fabric (§3.4 packing: the batch is fragmented as one
-// unit; we account the cell-header tax on each cell).
-func (v *stardustVOQ) release() {
-	for v.credit > 0 && v.q.len() > 0 {
-		p := v.q.pop()
-		v.bytes -= int64(p.Size)
-		v.credit -= int64(p.Size)
-		v.ship(p)
-	}
-	if v.q.len() == 0 && v.credit > 0 {
-		v.credit = 0 // unused credit on an empty VOQ is forfeited
-	}
-}
-
-// reasmState tracks one packet's cells at the destination adapter.
-type reasmState struct {
-	orig      *Packet
-	remaining int
-	voq       *stardustVOQ
-	shippedAt sim.Time
-	done      bool // all cells arrived, waiting for in-order delivery
-	discarded bool // reassembly timer fired; late cells just drain
-}
-
-var reasmPool = sync.Pool{New: func() any { return new(reasmState) }}
-
-func (v *stardustVOQ) ship(p *Packet) {
-	n := v.net
-	payload := n.Cfg.CellBytes - n.Cfg.CellHeader
-	state := reasmPool.Get().(*reasmState)
-	state.orig = p
-	state.remaining = p.Size
-	state.voq = v
-	state.shippedAt = n.Sim.Now()
-	state.done = false
-	state.discarded = false
-	v.flight.push(state)
-	// An armed timer always expires at or before the current head's
-	// deadline (heads ship in order), so arming only when disarmed keeps
-	// exactly one outstanding event per VOQ per timeout window.
-	if n.Cfg.ReasmTimeout > 0 && !v.reasmTmr.Armed() {
-		v.reasmTmr.Arm(n.Cfg.ReasmTimeout, v.reasmFn)
-	}
-	for sent := 0; sent < p.Size; sent += payload {
-		chunk := payload
-		if sent+chunk > p.Size {
-			chunk = p.Size - sent
-		}
-		c := NewPacket()
-		c.Size = chunk + n.Cfg.CellHeader
-		c.Flow = state
-		n.CellsSent++
-		c.SetRoute(v.cellRoute)
-		c.SendOn()
-	}
-}
-
-// reassemble runs at the destination adapter: cells tick their packet's
-// outstanding byte count down; completed packets are handed to the owning
-// VOQ's in-order delivery stream.
-func (n *StardustNet) reassemble(c *Packet) {
-	state, ok := c.Flow.(*reasmState)
-	if !ok {
-		c.Release() // foreign cell from a misbehaving fabric: not ours, not counted
-		return
-	}
-	payload := c.Size - n.Cfg.CellHeader
-	c.Release()
-	n.CellsDelivered++
-	state.remaining -= payload
-	if state.remaining > 0 {
-		return
-	}
-	if state.discarded {
-		// The reassembly timer gave up on this packet and its stragglers
-		// have now all drained; the state can be reused.
-		reasmPool.Put(state)
-		return
-	}
-	state.done = true
-	state.voq.deliver()
-}
-
-// deliver releases completed packets in ship order (§4.1 in-order
-// reassembly at the destination FA). A head-of-line packet whose cells
-// were lost in the fabric would stall the stream forever, so it is
-// discarded once it outlives the reassembly timer.
-func (v *stardustVOQ) deliver() {
-	n := v.net
-	now := n.Sim.Now()
-	for v.flight.len() > 0 {
-		head := v.flight.peek()
-		if head.done {
-			v.flight.pop()
-			orig := head.orig
-			head.orig = nil
-			reasmPool.Put(head)
-			orig.SendOn()
-			continue
-		}
-		if n.Cfg.ReasmTimeout > 0 && now-head.shippedAt > n.Cfg.ReasmTimeout {
-			v.flight.pop()
-			head.discarded = true
-			head.orig.Release()
-			head.orig = nil
-			n.ReasmTimeouts++
-			continue
-		}
-		break
-	}
-	// Re-arm for the blocked head's deadline so the discard fires even if
-	// nothing else ever completes on this VOQ.
-	if n.Cfg.ReasmTimeout > 0 && v.flight.len() > 0 && !v.reasmTmr.Armed() {
-		head := v.flight.peek()
-		v.reasmTmr.Arm(head.shippedAt+n.Cfg.ReasmTimeout-now+sim.Nanosecond, v.reasmFn)
-	}
-}
+// OnMigrateFA is a no-op: the trunk fabric never migrates.
+func (t *TrunkFabric) OnMigrateFA(func(fa, from, to int)) {}

@@ -6,12 +6,15 @@ import (
 	"stardust/internal/sim"
 )
 
-// blackholeFabric is a fabric crossing that loses every cell — the
+// blackholeFabric is a trunk fabric that loses every cell — the
 // worst-case failed-link scenario where no cell of a packet survives.
-type blackholeFabric struct{ dropped uint64 }
+type blackholeFabric struct {
+	*TrunkFabric
+	dropped uint64
+}
 
-// Receive implements Handler.
-func (b *blackholeFabric) Receive(c *Packet) {
+// Inject implements CellFabric.
+func (b *blackholeFabric) Inject(c *Packet, _, _ int) {
 	b.dropped++
 	c.Release()
 }
@@ -20,14 +23,13 @@ func (b *blackholeFabric) Receive(c *Packet) {
 // reassembly timer even though no later completion ever calls into the
 // delivery path: the timer itself has to fire (§4.1).
 func TestReasmTimerFiresWithoutLaterCompletions(t *testing.T) {
-	s := sim.New()
 	cfg := DefaultStardust(10e9, 2, sim.Microsecond)
-	n, err := NewStardustNet(s, cfg, 4, 2)
+	eng, trunk := oneShardTrunk(t, cfg, 2)
+	bh := &blackholeFabric{TrunkFabric: trunk}
+	n, err := NewStardustNet(bh, cfg, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bh := &blackholeFabric{}
-	n.fabric = bh
 
 	var got Counter
 	route := append(n.Route(0, 2), &got)
@@ -38,27 +40,27 @@ func TestReasmTimerFiresWithoutLaterCompletions(t *testing.T) {
 
 	// Let credits flow and the packet ship into the black hole, then run
 	// well past the reassembly timeout with NO other traffic.
-	s.RunUntil(10*sim.Millisecond + 10*cfg.ReasmTimeout)
+	eng.Run(10*sim.Millisecond + 10*cfg.ReasmTimeout)
 	if bh.dropped == 0 {
 		t.Fatal("packet never shipped as cells")
 	}
 	if got.Packets != 0 {
 		t.Fatal("a fully-lost packet was delivered")
 	}
-	if n.ReasmTimeouts != 1 {
-		t.Fatalf("ReasmTimeouts = %d, want 1 (timer-driven discard)", n.ReasmTimeouts)
+	if n.ReasmTimeouts() != 1 {
+		t.Fatalf("ReasmTimeouts = %d, want 1 (timer-driven discard)", n.ReasmTimeouts())
 	}
-	if n.CellsSent != bh.dropped {
-		t.Fatalf("black hole swallowed %d of %d cells sent", bh.dropped, n.CellsSent)
+	if n.CellsSent() != bh.dropped {
+		t.Fatalf("black hole swallowed %d of %d cells sent", bh.dropped, n.CellsSent())
 	}
 }
 
-// With the fluid trunk (no fabric installed) nothing is lost and the
-// timer must never discard anything.
+// Over the healthy trunk fabric nothing is lost and the timer must never
+// discard anything.
 func TestReasmTimerIdleOnHealthyPath(t *testing.T) {
-	s := sim.New()
 	cfg := DefaultStardust(10e9, 2, sim.Microsecond)
-	n, err := NewStardustNet(s, cfg, 4, 2)
+	eng, trunk := oneShardTrunk(t, cfg, 2)
+	n, err := NewStardustNet(trunk, cfg, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +72,11 @@ func TestReasmTimerIdleOnHealthyPath(t *testing.T) {
 		p.SetRoute(route)
 		p.SendOn()
 	}
-	s.RunUntil(10*sim.Millisecond + 10*cfg.ReasmTimeout)
+	eng.Run(10*sim.Millisecond + 10*cfg.ReasmTimeout)
 	if got.Packets != 5 {
 		t.Fatalf("delivered %d of 5", got.Packets)
 	}
-	if n.ReasmTimeouts != 0 {
-		t.Fatalf("healthy path discarded %d packets", n.ReasmTimeouts)
+	if n.ReasmTimeouts() != 0 {
+		t.Fatalf("healthy path discarded %d packets", n.ReasmTimeouts())
 	}
 }

@@ -1,13 +1,16 @@
-// Sharded Stardust transport: the StardustNet substrate partitioned
-// across the event loops of a parsim.Engine, so the §6.3 end-to-end
-// scenarios scale with cores the way the bare fabric already does.
+// The Stardust transport: the Fabric Adapter's edge of §3–§4 — per-flow
+// ingress VOQs, the destination port's credit scheduler and in-order
+// reassembly — over any CellFabric, partitioned across the event loops of
+// a parsim.Engine. The fabric only moves cells: the per-link
+// *fabric.Net simulates every device and serial link, the fluid
+// TrunkFabric (Appendix G) reduces each adapter's uplinks to one trunk.
 //
 // Ownership follows the edge: every host — its NIC queue, egress port
 // queue, credit scheduler and TCP endpoints — is pinned to the parsim
-// shard that owns its edge Fabric Adapter in the underlying sharded cell
-// fabric (fabric.SetEgress pins the delivery endpoint to the same shard).
-// A VOQ for the flow src→dst is split in two: the source half (ingress
-// queue, credit balance, cell fragmentation) lives on src's shard, the
+// shard that owns its edge Fabric Adapter in the underlying cell fabric
+// (SetEgress pins the delivery endpoint to the same shard). A VOQ for
+// the flow src→dst is split in two: the source half (ingress queue,
+// credit balance, cell fragmentation) lives on src's shard, the
 // destination half (in-order reassembly stream, §4.1 timer) on dst's.
 //
 // Three control flows cross shards, each on its own event lane keyed by
@@ -24,10 +27,10 @@
 //     crossing the fabric (minimum two hops), so the flight ring is
 //     built in ship order on the owning shard.
 //
-// Cells themselves cross through the sharded fabric's per-link lanes.
-// The same seed therefore yields byte-identical transport state at any
-// shard count — the PR-4 determinism contract extended to the transport;
-// the invariant suite and the CI matrix verify it rather than assume it.
+// Cells themselves cross on the fabric's own lanes. The same seed
+// therefore yields byte-identical transport state at any shard count —
+// the fabric determinism contract extended to the transport; the
+// invariant suite and the CI matrix verify it rather than assume it.
 //
 // The hot path allocates nothing in steady state: packets, cells and
 // reassembly states are pooled, every cross-shard message reuses a
@@ -44,10 +47,10 @@ import (
 	"stardust/internal/sim"
 )
 
-// ShardedCellFabric is the fabric surface the sharded transport builds
-// on: cell injection plus the shard-pinning contract of a fabric built on
-// a parsim engine. *fabric.Net implements it.
-type ShardedCellFabric interface {
+// CellFabric is the fabric surface the transport builds on: cell
+// injection plus the shard-pinning contract of a fabric built on a parsim
+// engine. *fabric.Net and *TrunkFabric implement it.
+type CellFabric interface {
 	// Inject carries one cell from the source edge device to the
 	// destination edge device; delivered cells reach the SetEgress
 	// endpoint, lost ones are Released.
@@ -78,7 +81,12 @@ type ShardedCellFabric interface {
 	OnMigrateFA(fn func(fa, from, to int))
 }
 
-// sdShard is the per-shard slice of a ShardedStardustNet: the shard's
+// voqKey names a VOQ by its ordered host pair.
+type voqKey struct {
+	src, dst int // host indices
+}
+
+// sdShard is the per-shard slice of a StardustNet: the shard's
 // event heap plus the counters its hosts increment, so the hot path never
 // writes a counter another shard's goroutine could be writing.
 type sdShard struct {
@@ -95,7 +103,7 @@ type sdShard struct {
 	deliveredBytes uint64 // packet bytes released in order at the destination
 }
 
-// TransportCounters is a point-in-time aggregate snapshot of a sharded
+// TransportCounters is a point-in-time aggregate snapshot of the
 // transport — the raw material of the management plane's barrier scrape.
 type TransportCounters struct {
 	CellsSent      uint64 `json:"cells_sent"`
@@ -111,20 +119,20 @@ type TransportCounters struct {
 	FabricDrops    uint64 `json:"fabric_drops"`
 }
 
-// ShardedStardustNet is the Stardust transport substrate partitioned
-// across the shards of a parsim.Engine. It is route-compatible with
-// StardustNet — Route returns the same five-hop shape, so TCP endpoints
-// plug in unchanged — but every host's state is pinned to its edge FA's
-// shard and all cross-edge interactions travel on per-pair event lanes.
+// StardustNet is the Stardust transport substrate partitioned across the
+// shards of a parsim.Engine. Route returns a five-hop packet route, so TCP
+// endpoints plug in unchanged; every host's state is pinned to its edge
+// FA's shard and all cross-edge interactions travel on per-pair event
+// lanes.
 //
 // Topology mutation (Route, and therefore flow creation) is only legal in
 // barrier context: before the engine first runs, from Engine.At controls,
 // or from OnBarrier hooks. Aggregate accessors carry the same caveat.
-type ShardedStardustNet struct {
+type StardustNet struct {
 	Cfg StardustConfig
 
 	eng      *parsim.Engine
-	fab      ShardedCellFabric
+	fab      CellFabric
 	hosts    int
 	hostsPer int
 	laneBase int32
@@ -151,12 +159,12 @@ type ShardedStardustNet struct {
 	OnReasmDiscard func(*Packet)
 }
 
-// NewShardedStardustNet builds the sharded substrate over fab (a fabric
-// built with fabric.New) for hosts end hosts, hostsPer per edge
+// NewStardustNet builds the substrate over fab (a fabric built with
+// fabric.New or NewTrunkFabric) for hosts end hosts, hostsPer per edge
 // Fabric Adapter. The fabric must span hosts/hostsPer FAs and its
 // engine's lookahead must not exceed LinkDelay or CtrlDelay (every
 // cross-shard flow needs at least one window of latency).
-func NewShardedStardustNet(fab ShardedCellFabric, cfg StardustConfig, hosts, hostsPer int) (*ShardedStardustNet, error) {
+func NewStardustNet(fab CellFabric, cfg StardustConfig, hosts, hostsPer int) (*StardustNet, error) {
 	if hosts < 2 || hostsPer < 1 || hosts%hostsPer != 0 {
 		return nil, fmt.Errorf("netsim: bad stardust sizing %d/%d", hosts, hostsPer)
 	}
@@ -176,7 +184,7 @@ func NewShardedStardustNet(fab ShardedCellFabric, cfg StardustConfig, hosts, hos
 	if int64(base)+3*int64(hosts)*int64(hosts) >= int64(sim.DefaultLane) {
 		return nil, fmt.Errorf("netsim: %d hosts exhaust the transport lane space", hosts)
 	}
-	n := &ShardedStardustNet{
+	n := &StardustNet{
 		Cfg:      cfg,
 		eng:      eng,
 		fab:      fab,
@@ -258,7 +266,7 @@ func NewShardedStardustNet(fab ShardedCellFabric, cfg StardustConfig, hosts, hos
 // transport share the group id space), so this only re-points the homes
 // future events are scheduled from: queues, propagation hops, timers and
 // the pair lane schedulers of every flow touching a migrated host.
-func (n *ShardedStardustNet) migrate(fa, _, to int) {
+func (n *StardustNet) migrate(fa, _, to int) {
 	sh := n.shards[to]
 	lo, hi := fa*n.hostsPer, (fa+1)*n.hostsPer
 	for h := lo; h < hi; h++ {
@@ -299,7 +307,7 @@ func (n *ShardedStardustNet) migrate(fa, _, to int) {
 // shard, tagged with h's migration group. Endpoint drivers that must
 // survive adaptive rebalancing start their event chains here (and
 // re-resolve HostSim per event) instead of caching a Simulator.
-func (n *ShardedStardustNet) ScheduleHost(h int, at sim.Time, a sim.Action, arg uint64) {
+func (n *StardustNet) ScheduleHost(h int, at sim.Time, a sim.Action, arg uint64) {
 	sm := n.shards[n.hostSh[h]].sm
 	prev := sm.Group()
 	sm.SetGroup(n.fab.GroupOfFA(h / n.hostsPer))
@@ -308,23 +316,23 @@ func (n *ShardedStardustNet) ScheduleHost(h int, at sim.Time, a sim.Action, arg 
 }
 
 // Engine returns the parsim engine the transport runs on.
-func (n *ShardedStardustNet) Engine() *parsim.Engine { return n.eng }
+func (n *StardustNet) Engine() *parsim.Engine { return n.eng }
 
 // Hosts returns the number of end hosts.
-func (n *ShardedStardustNet) Hosts() int { return n.hosts }
+func (n *StardustNet) Hosts() int { return n.hosts }
 
 // ShardOfHost returns the shard owning host h's state.
-func (n *ShardedStardustNet) ShardOfHost(h int) int { return n.hostSh[h] }
+func (n *StardustNet) ShardOfHost(h int) int { return n.hostSh[h] }
 
 // HostSim returns the event heap host h is pinned to: schedule the host's
 // endpoint work (TCP sources, sinks, injectors) here.
-func (n *ShardedStardustNet) HostSim(h int) *sim.Simulator { return n.shards[n.hostSh[h]].sm }
+func (n *StardustNet) HostSim(h int) *sim.Simulator { return n.shards[n.hostSh[h]].sm }
 
 // checkBarrier panics when multi-shard transport state is mutated outside
 // barrier context — the misuse that would otherwise be a silent race.
-func (n *ShardedStardustNet) checkBarrier() {
+func (n *StardustNet) checkBarrier() {
 	if !n.eng.InBarrier() {
-		panic("netsim: sharded transport topology must be changed in barrier context (before Run, Engine.At or OnBarrier)")
+		panic("netsim: transport topology must be changed in barrier context (before Run, Engine.At or OnBarrier)")
 	}
 }
 
@@ -332,7 +340,7 @@ func (n *ShardedStardustNet) checkBarrier() {
 // pair src→dst: kind 0 = request, 1 = grant, 2 = ship notification. Lanes
 // are a function of the pair alone, so they are identical at every shard
 // count, and each lane has exactly one sending entity.
-func (n *ShardedStardustNet) laneOf(src, dst, kind int) int32 {
+func (n *StardustNet) laneOf(src, dst, kind int) int32 {
 	return n.laneBase + int32(3*(src*n.hosts+dst)+kind)
 }
 
@@ -341,13 +349,13 @@ func (n *ShardedStardustNet) laneOf(src, dst, kind int) int32 {
 // destination) the egress port queue and a final propagation hop. The
 // caller appends the receiving endpoint, which must live on dst's shard
 // (HostSim(dst)). Barrier context only — it may create the pair's VOQ.
-func (n *ShardedStardustNet) Route(src, dst int) []Handler {
+func (n *StardustNet) Route(src, dst int) []Handler {
 	v := n.voq(src, dst)
 	return []Handler{n.hostUp[src], n.hpipes[src], v, n.port[dst], n.hpipes[dst]}
 }
 
 // voq returns (creating on first use) the split VOQ of the pair src→dst.
-func (n *ShardedStardustNet) voq(src, dst int) *svoq {
+func (n *StardustNet) voq(src, dst int) *svoq {
 	k := voqKey{src: src, dst: dst}
 	if v, ok := n.voqs[k]; ok {
 		return v
@@ -377,7 +385,7 @@ func (n *ShardedStardustNet) voq(src, dst int) *svoq {
 
 // ReadCounters snapshots the aggregate transport counters into out.
 // Barrier context only (the sums cross every shard).
-func (n *ShardedStardustNet) ReadCounters(out *TransportCounters) {
+func (n *StardustNet) ReadCounters(out *TransportCounters) {
 	*out = TransportCounters{FabricDrops: n.fab.Drops()}
 	for _, sh := range n.shards {
 		out.CellsSent += sh.cellsSent
@@ -400,43 +408,43 @@ func (n *ShardedStardustNet) ReadCounters(out *TransportCounters) {
 // counters returns the aggregate snapshot; the convenience accessors
 // below are cold-path wrappers so ReadCounters stays the single
 // aggregation site.
-func (n *ShardedStardustNet) counters() TransportCounters {
+func (n *StardustNet) counters() TransportCounters {
 	var tc TransportCounters
 	n.ReadCounters(&tc)
 	return tc
 }
 
 // CellsSent counts cells handed to the fabric (barrier context only).
-func (n *ShardedStardustNet) CellsSent() uint64 { return n.counters().CellsSent }
+func (n *StardustNet) CellsSent() uint64 { return n.counters().CellsSent }
 
 // CellsDelivered counts cells that reached their destination adapter
 // (barrier context only).
-func (n *ShardedStardustNet) CellsDelivered() uint64 { return n.counters().CellsDelivered }
+func (n *StardustNet) CellsDelivered() uint64 { return n.counters().CellsDelivered }
 
 // CreditsSent counts credit grants issued (barrier context only).
-func (n *ShardedStardustNet) CreditsSent() uint64 { return n.counters().CreditsSent }
+func (n *StardustNet) CreditsSent() uint64 { return n.counters().CreditsSent }
 
 // VOQDrops counts ingress tail-drops (barrier context only).
-func (n *ShardedStardustNet) VOQDrops() uint64 { return n.counters().VOQDrops }
+func (n *StardustNet) VOQDrops() uint64 { return n.counters().VOQDrops }
 
 // ReasmTimeouts counts §4.1 reassembly-timer discards (barrier context
 // only).
-func (n *ShardedStardustNet) ReasmTimeouts() uint64 { return n.counters().ReasmTimeouts }
+func (n *StardustNet) ReasmTimeouts() uint64 { return n.counters().ReasmTimeouts }
 
 // FabricDrops counts cells lost inside the fabric (§5.5: zero on a
 // healthy fabric under credit pacing). Barrier context only.
-func (n *ShardedStardustNet) FabricDrops() uint64 { return n.fab.Drops() }
+func (n *StardustNet) FabricDrops() uint64 { return n.fab.Drops() }
 
 // TotalDrops counts packet and cell losses across every Stardust queue,
 // the VOQs and the fabric. Barrier context only.
-func (n *ShardedStardustNet) TotalDrops() uint64 {
+func (n *StardustNet) TotalDrops() uint64 {
 	tc := n.counters()
 	return tc.FabricDrops + tc.VOQDrops + tc.NICDrops + tc.PortDrops
 }
 
 // VisitQueues visits every host-side queue (NIC then port, host order) —
 // for drop hooks and aggregate statistics. Barrier context only.
-func (n *ShardedStardustNet) VisitQueues(fn func(q *Queue)) {
+func (n *StardustNet) VisitQueues(fn func(q *Queue)) {
 	for _, q := range n.hostUp {
 		fn(q)
 	}
@@ -448,7 +456,7 @@ func (n *ShardedStardustNet) VisitQueues(fn func(q *Queue)) {
 // InFlight counts packets the transport still holds: queued in VOQs or
 // awaiting in-order delivery at a destination. Zero at drain means every
 // injected packet's fate is settled. Barrier context only.
-func (n *ShardedStardustNet) InFlight() int {
+func (n *StardustNet) InFlight() int {
 	total := 0
 	for _, v := range n.voqs {
 		total += v.q.len() + v.stream.flight.len()
@@ -460,7 +468,7 @@ func (n *ShardedStardustNet) InFlight() int {
 // VOQ — most importantly credit conservation: every granted byte is
 // accounted as shipped, still banked, or forfeited on an empty queue.
 // Barrier context only.
-func (n *ShardedStardustNet) CheckInvariants() error {
+func (n *StardustNet) CheckInvariants() error {
 	for k, v := range n.voqs {
 		if v.granted != v.shippedB+v.credit+v.forfeited {
 			return fmt.Errorf("netsim: voq %d->%d credit leak: granted %d != shipped %d + banked %d + forfeited %d",
@@ -484,9 +492,9 @@ func (n *ShardedStardustNet) CheckInvariants() error {
 }
 
 // sdEgress terminates fabric cells at one destination FA, pinned to the
-// FA's shard by fabric.SetEgress.
+// FA's shard by the fabric's SetEgress.
 type sdEgress struct {
-	net *ShardedStardustNet
+	net *StardustNet
 	sh  *sdShard
 }
 
@@ -541,7 +549,7 @@ func (st *sreasm) Act(uint64) { st.stream.enter(st) }
 // actions the pair needs on the destination side (request application,
 // grant dispatch), so the hot path never allocates.
 type sstream struct {
-	net *ShardedStardustNet
+	net *StardustNet
 	key voqKey
 	sh  *sdShard
 
@@ -569,7 +577,7 @@ func (s *sstream) enter(st *sreasm) {
 
 // deliver releases completed packets in ship order; a head-of-line packet
 // whose cells were lost in the fabric is discarded once it outlives the
-// reassembly timer, exactly like the fluid StardustNet.
+// reassembly timer.
 func (s *sstream) deliver() {
 	n := s.net
 	now := s.sh.sm.Now()
@@ -628,7 +636,7 @@ func (g sdGrant) Act(bytes uint64) { g.v.grant(int64(bytes)) }
 // scheduler for the next grant and dispatches it toward the winning
 // source VOQ on the pair's grant lane.
 type sdCreditLoop struct {
-	net *ShardedStardustNet
+	net *StardustNet
 	h   int
 	sh  *sdShard
 	tmr *sim.Timer
@@ -659,7 +667,7 @@ func (l *sdCreditLoop) tick() {
 // source Fabric Adapter until credits release them as cells (§3.3). Owned
 // by src's shard.
 type svoq struct {
-	net *ShardedStardustNet
+	net *StardustNet
 	key voqKey
 	sh  *sdShard
 
@@ -725,14 +733,13 @@ func (v *svoq) release() {
 	if v.q.len() == 0 && v.credit > 0 {
 		// Unused credit on an empty VOQ is forfeited. A negative balance
 		// (overdraft from shipping a packet larger than the final grant)
-		// is kept as debt against future grants — the same pacing rule as
-		// the fluid StardustNet, so the two models stay comparable.
+		// is kept as debt against future grants.
 		v.forfeited += v.credit
 		v.credit = 0
 	}
 }
 
-// ship fragments one packet into cells and injects them into the sharded
+// ship fragments one packet into cells and injects them into the cell
 // fabric from the source FA's shard; the reassembly state itself is the
 // ship notification scheduled onto the destination's shard.
 func (v *svoq) ship(p *Packet) {

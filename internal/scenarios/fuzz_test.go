@@ -84,8 +84,11 @@ func fuzzValue(base string, list bool, shape uint8, num int8, text string) strin
 
 // FuzzScenarioParams drives every registered scenario (fabric/distscale,
 // whose whole point is forking peer processes, aside) with tiny sizes
-// and one documented parameter set to a random value. Every instance
-// must end in an error or a result — a recovered panic fails.
+// and two documented parameters set to random values: each (key, shape,
+// num, text) tuple picks and perturbs one, and a second key that lands
+// on the first moves to the next documented key, so two distinct keys
+// change whenever a scenario documents two. Every instance must end in
+// an error or a result — a recovered panic fails.
 func FuzzScenarioParams(f *testing.F) {
 	var scs []*engine.Scenario
 	for _, sc := range engine.List() {
@@ -112,12 +115,14 @@ func FuzzScenarioParams(f *testing.F) {
 		return 0
 	}
 	perm := index("htsim/permutation")
-	f.Add(perm, key(perm, "proto"), uint8(0), int8(0), "mptcp")
+	f.Add(perm, key(perm, "proto"), uint8(0), int8(0), "mptcp", key(perm, "fabric"), uint8(0), int8(0), "true")
 	graph := index("fabric/graphload")
-	f.Add(graph, key(graph, "topo"), uint8(0), int8(0), "clos")
+	f.Add(graph, key(graph, "topo"), uint8(0), int8(0), "clos", key(graph, "k"), uint8(0), int8(4), "")
 	coll := index("fabric/collective")
-	f.Add(coll, key(coll, "cell"), uint8(0), int8(0), "")
-	f.Fuzz(func(t *testing.T, sc, k uint16, shape uint8, num int8, text string) {
+	f.Add(coll, key(coll, "cell"), uint8(0), int8(0), "", key(coll, "load"), uint8(0), int8(2), "")
+	f.Add(perm, key(perm, "proto"), uint8(0), int8(0), "Stardust", key(perm, "k"), uint8(0), int8(4), "")
+	f.Fuzz(func(t *testing.T, sc, k uint16, shape uint8, num int8, text string,
+		k2 uint16, shape2 uint8, num2 int8, text2 string) {
 		s := scs[int(sc)%len(scs)]
 		params := engine.Params{}
 		for key := range s.Defaults {
@@ -126,13 +131,25 @@ func FuzzScenarioParams(f *testing.F) {
 			}
 		}
 		if docs := s.ParamDocs(); len(docs) > 0 {
-			if d := docs[int(k)%len(docs)]; !fixedKeys[d.Key] {
+			perturb := func(i int, shape uint8, num int8, text string) {
+				d := docs[i]
+				if fixedKeys[d.Key] {
+					return
+				}
 				base := strings.Split(d.Default, ",")[0]
 				if v, ok := params[d.Key]; ok {
 					base = v
 				}
 				list := strings.Contains(d.Default, ",") || strings.Contains(d.Desc, "comma list")
 				params[d.Key] = fuzzValue(base, list, shape, num, text)
+			}
+			first, second := int(k)%len(docs), int(k2)%len(docs)
+			if second == first {
+				second = (first + 1) % len(docs)
+			}
+			perturb(first, shape, num, text)
+			if second != first {
+				perturb(second, shape2, num2, text2)
 			}
 		}
 		results, _ := engine.Run(engine.Options{Workers: 1, Seed: 1}, []engine.Job{{Scenario: s.Name, Params: params}})

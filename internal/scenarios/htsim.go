@@ -18,10 +18,11 @@ func htsimConfig(c engine.Context) experiments.HtsimConfig {
 	cfg.StardustCredit = c.Params.Int64("credit", 0)
 	cfg.StardustSpeedup = c.Params.Float("speedup", 0)
 	cfg.FullFabric = c.Params.Bool("fabric", false)
-	// Every run over the per-link fabric (fabric=true, linkload spray,
-	// failures) goes through the sharded transport so the -shards flag
-	// scales it across cores; the result stream is byte-identical at any
-	// shard count for the same seed.
+	// Every Stardust run, over the fluid trunk fabric or the per-link one
+	// (fabric=true, linkload spray, failures), goes through the one
+	// engine-partitioned transport, so the -shards flag scales it across
+	// cores; the result stream is byte-identical at any shard count for the
+	// same seed. The fat-tree contenders ignore it.
 	cfg.Shards = effectiveShards(c)
 	cfg.Seed = c.Seed
 	return cfg
@@ -56,7 +57,7 @@ var htsimDocs = map[string]string{
 	"dur_ms":    "measurement window in ms, after warmup",
 	"warmup_ms": "warmup before measurement starts, in ms",
 	"proto":     "protocols to run: all, or a comma list of MPTCP,DCTCP,DCQCN,Stardust",
-	"fabric":    "run Stardust over the per-link cell fabric instead of the fluid trunk; honors -shards (sharded transport, byte-identical at any shard count)",
+	"fabric":    "run Stardust over the per-link cell fabric instead of the fluid trunk fabric; both honor -shards (byte-identical at any shard count)",
 }
 
 // withDocs merges extra entries over a copy of base.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"stardust/internal/netsim"
+	"stardust/internal/parsim"
 	"stardust/internal/sim"
 )
 
@@ -239,20 +240,33 @@ func TestDCQCNFiniteFlow(t *testing.T) {
 	}
 }
 
-// TCP over the Stardust substrate: scheduled fabric, no fabric loss, high
-// goodput.
-func TestTCPOverStardust(t *testing.T) {
-	s := sim.New()
-	sd, err := netsim.NewStardustNet(s, netsim.DefaultStardust(10e9, 2, sim.Microsecond), 8, 2)
+// oneShardStardust builds the Stardust transport over the trunk fabric on
+// a one-shard engine and returns the engine, its event loop and the net.
+func oneShardStardust(t *testing.T, hosts, hostsPer int) (*parsim.Engine, *sim.Simulator, *netsim.StardustNet) {
+	t.Helper()
+	cfg := netsim.DefaultStardust(10e9, 2, sim.Microsecond)
+	eng := parsim.New(parsim.Config{Shards: 1, Lookahead: cfg.LinkDelay})
+	fab, err := netsim.NewTrunkFabric(eng, cfg, hosts/hostsPer)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sd, err := netsim.NewStardustNet(fab, cfg, hosts, hostsPer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, eng.Shard(0).Sim(), sd
+}
+
+// TCP over the Stardust substrate: scheduled fabric, no fabric loss, high
+// goodput.
+func TestTCPOverStardust(t *testing.T) {
+	eng, s, sd := oneShardStardust(t, 8, 2)
 	cfg := DefaultConfig()
 	src := NewSource(s, cfg, "f", 0, nil)
 	sink := NewSink(s, cfg, src, append(sd.Route(5, 0), Ack))
 	src.fwd = append(sd.Route(0, 5), sink)
 	src.Start()
-	s.RunUntil(50 * sim.Millisecond)
+	eng.Run(50 * sim.Millisecond)
 	goodput := float64(src.DeliveredB) * 8 / 50e-3
 	if goodput < 8.5e9 {
 		t.Fatalf("TCP over Stardust reached only %.2f Gbps", goodput/1e9)
@@ -265,11 +279,7 @@ func TestTCPOverStardust(t *testing.T) {
 // Incast over Stardust (§5.4): many senders, one port — fabric lossless,
 // service fair.
 func TestStardustIncastFairAndLossless(t *testing.T) {
-	s := sim.New()
-	sd, err := netsim.NewStardustNet(s, netsim.DefaultStardust(10e9, 2, sim.Microsecond), 16, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng, s, sd := oneShardStardust(t, 16, 4)
 	cfg := DefaultConfig()
 	var flows []*Source
 	for src := 1; src < 16; src++ {
@@ -279,7 +289,7 @@ func TestStardustIncastFairAndLossless(t *testing.T) {
 		flows = append(flows, f)
 		f.Start()
 	}
-	s.RunUntil(100 * sim.Millisecond)
+	eng.Run(100 * sim.Millisecond)
 	var minB, maxB int64 = 1 << 62, 0
 	for _, f := range flows {
 		if !f.Done {
